@@ -11,7 +11,9 @@
 //! We sweep threads ∈ {1, 2, 4, 8} at two per-vertex compute costs:
 //! `heavy` (compute ≫ bookkeeping — the paper's prediction regime) and
 //! `light` (compute ≈ bookkeeping — where speedup collapses).
-//! EXPERIMENTS.md records the measured speedups against the paper's.
+//! `perfbench/EXPERIMENTS.md` records the repo's measured form of this
+//! comparison (`core.pipelining_speedup`, `core.parallel_speedup` on
+//! the `engine_pipeline` graph) against the paper's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ec_bench::{fusion_modules, run_engine};

@@ -1,9 +1,10 @@
 //! # ec-bench — shared workload builders for the benchmark harness
 //!
-//! Each Criterion bench regenerates one figure/table of the paper (see
-//! DESIGN.md §4 and EXPERIMENTS.md). This library holds the workload
-//! constructors they share so every experiment runs the same graphs and
-//! module mixes.
+//! Each Criterion bench regenerates one figure/table of the paper (the
+//! recorded, regression-guarded form of those comparisons is the
+//! benchmark package: see `perfbench/EXPERIMENTS.md`). This library
+//! holds the workload constructors they share so every experiment runs
+//! the same graphs and module mixes.
 
 use ec_core::{
     BarrierParallel, Engine, MetricsSnapshot, Module, PassThrough, Sequential, SourceModule,

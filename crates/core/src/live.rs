@@ -334,6 +334,13 @@ impl LiveEngine {
         Ok(st.completed_through())
     }
 
+    /// True once [`shutdown`](Self::shutdown) has begun: admissions are
+    /// refused and [`wait_progress_for`](Self::wait_progress_for) no
+    /// longer blocks.
+    pub fn closing(&self) -> bool {
+        self.closing.load(Relaxed)
+    }
+
     /// Wakes all blocked `admit` / `wait_*` callers (used by runtimes
     /// coordinating their own shutdown).
     pub fn wake_all(&self) {

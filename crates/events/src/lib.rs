@@ -13,7 +13,7 @@
 //! * [`sources`] — synthetic stream sources (sensors, random walks,
 //!   rare-anomaly streams) used as workload generators. These replace the
 //!   paper's proprietary sensor feeds with seeded generators exercising
-//!   the same code paths (see DESIGN.md §3).
+//!   the same code paths.
 //! * [`window`], [`stats`] — ring buffers, sliding windows and online
 //!   statistics (mean/σ, EWMA, linear regression) for the "predicates
 //!   over event stream histories" the paper's §1 motivates, such as a

@@ -74,6 +74,30 @@ impl PromText {
         labels: &[(&str, &str)],
         h: &HistogramSnapshot,
     ) {
+        self.summary(name, help, labels, h, 1e9);
+    }
+
+    /// Adds a summary of a histogram of plain counts (batch sizes,
+    /// queue depths): the same samples as
+    /// [`latency_summary`](Self::latency_summary), values unscaled.
+    pub fn count_summary(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        h: &HistogramSnapshot,
+    ) {
+        self.summary(name, help, labels, h, 1.0);
+    }
+
+    fn summary(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        h: &HistogramSnapshot,
+        per_unit: f64,
+    ) {
         self.announce(name, "summary", help);
         for (q, v) in [
             ("0.5", h.p50()),
@@ -83,11 +107,11 @@ impl PromText {
         ] {
             let mut with_q: Vec<(&str, &str)> = labels.to_vec();
             with_q.push(("quantile", q));
-            self.sample(name, &with_q, v as f64 / 1e9);
+            self.sample(name, &with_q, v as f64 / per_unit);
         }
         let sum = format!("{name}_sum");
         let count = format!("{name}_count");
-        self.sample(&sum, labels, h.sum as f64 / 1e9);
+        self.sample(&sum, labels, h.sum as f64 / per_unit);
         self.sample(&count, labels, h.count() as f64);
     }
 

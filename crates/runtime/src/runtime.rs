@@ -49,7 +49,7 @@ use ec_obs::{
     MetricsServer, Observation, SourceObs, SpanKind,
 };
 use ec_store::{Recovery, Snapshotter, StoreIo, WalOptions, WalWriter};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -314,6 +314,27 @@ pub struct SinkEmission {
 }
 
 type Subscriber = Box<dyn FnMut(&SinkEmission) + Send>;
+type BatchSubscriber = Box<dyn FnMut(&[SinkEmission]) + Send>;
+
+/// Everything the delivery loop calls per retirement drain.
+#[derive(Default)]
+struct Subscribers {
+    /// Called once per emission.
+    each: Vec<Subscriber>,
+    /// Called once per drain with all of its emissions.
+    batch: Vec<BatchSubscriber>,
+}
+
+/// How far delivery has got, for [`StreamRuntime::wait_delivered`].
+#[derive(Default)]
+struct DeliveryProgress {
+    /// Every emission of phases up to here has been handed to every
+    /// subscriber (`u64::MAX` once the delivery loop has exited).
+    frontier: u64,
+    /// Callers blocked in `wait_delivered`; the delivery loop signals
+    /// the condvar only when there are any.
+    waiters: usize,
+}
 
 struct RuntimeShared {
     engine: LiveEngine,
@@ -321,7 +342,9 @@ struct RuntimeShared {
     buffers: IngestBuffers,
     /// Seal/snapshot serialization and the state only seals touch.
     seal: Mutex<SealState>,
-    subs: Mutex<Vec<Subscriber>>,
+    subs: Mutex<Subscribers>,
+    delivered: Mutex<DeliveryProgress>,
+    delivered_cv: Condvar,
     /// No more pushes/seals accepted.
     stop: AtomicBool,
     /// Stops the interval ticker (set before the final flush so the
@@ -777,17 +800,32 @@ impl RuntimeShared {
             return;
         }
         self.match_traces(&records);
-        let mut subs = self.subs.lock();
-        for r in records {
-            let emission = SinkEmission {
+        let emissions: Vec<SinkEmission> = records
+            .into_iter()
+            .map(|r| SinkEmission {
                 name: Arc::clone(&self.names[r.vertex.index()]),
                 vertex: r.vertex,
                 phase: r.phase.get(),
                 value: r.value,
-            };
-            for sub in subs.iter_mut() {
-                sub(&emission);
+            })
+            .collect();
+        let mut subs = self.subs.lock();
+        for emission in &emissions {
+            for sub in subs.each.iter_mut() {
+                sub(emission);
             }
+        }
+        for sub in subs.batch.iter_mut() {
+            sub(&emissions);
+        }
+    }
+
+    /// Publishes the delivered frontier to `wait_delivered` callers.
+    fn mark_delivered(&self, frontier: u64) {
+        let mut progress = self.delivered.lock();
+        progress.frontier = frontier;
+        if progress.waiters > 0 {
+            self.delivered_cv.notify_all();
         }
     }
 
@@ -796,6 +834,12 @@ impl RuntimeShared {
     /// watchdog driver: each wakeup (at most every ~50 ms when idle)
     /// feeds the health monitor a progress sample — no extra thread.
     fn delivery_loop(&self) {
+        self.deliver_until_stopped();
+        // Nothing further will be delivered: release any waiter.
+        self.mark_delivered(u64::MAX);
+    }
+
+    fn deliver_until_stopped(&self) {
         let mut last = 0u64;
         let mut last_health = Instant::now();
         loop {
@@ -817,6 +861,7 @@ impl RuntimeShared {
                 self.deliver(self.engine.drain_retired_sinks());
                 self.purge_traces(frontier);
                 last = frontier;
+                self.mark_delivered(frontier);
             }
             if last_health.elapsed() >= Duration::from_millis(50) {
                 self.observe_health();
@@ -828,12 +873,13 @@ impl RuntimeShared {
                 self.deliver(self.engine.drain_retired_sinks());
                 break;
             }
-            if !progressed {
-                // No progress: either the 50 ms wait timed out (idle
-                // stream) or the engine is quiescing for shutdown, in
-                // which case wait_progress_for returns immediately —
-                // pause briefly so that window doesn't busy-spin on the
-                // scheduler lock while workers drain.
+            if !progressed && self.engine.closing() {
+                // The engine is quiescing for shutdown, so
+                // wait_progress_for returns immediately — pause briefly
+                // so that window doesn't busy-spin on the scheduler
+                // lock while workers drain. (An idle stream's timed-out
+                // wait goes straight back to waiting: a phase retiring
+                // now must not sit out a sleep.)
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
@@ -1371,7 +1417,12 @@ impl StreamRuntimeBuilder {
                 snapshotter: Snapshotter::new(self.snapshot_full_every),
                 snapshots_since_compact: 0,
             }),
-            subs: Mutex::new(self.subs),
+            subs: Mutex::new(Subscribers {
+                each: self.subs,
+                batch: Vec::new(),
+            }),
+            delivered: Mutex::new(DeliveryProgress::default()),
+            delivered_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             ticker_stop: AtomicBool::new(false),
             live: self.live,
@@ -1624,6 +1675,16 @@ impl SourceHandle {
         Ok(())
     }
 
+    /// Blocks until this source's ingest shard has room, a seal drains
+    /// it, or `timeout` elapses — the wait between retries of a
+    /// [`push`](Self::push) that returned [`PushError::Full`]. The
+    /// caller still loops: a racing producer may refill the shard.
+    pub fn wait_space(&self, timeout: Duration) {
+        self.shared
+            .buffers
+            .wait_space(self.slot, self.shared.capacity, timeout);
+    }
+
     /// Events currently buffered (unsealed) for this source.
     pub fn buffered(&self) -> usize {
         self.shared.buffers.depth(self.slot)
@@ -1732,7 +1793,19 @@ impl StreamRuntime {
     /// immediately), register via
     /// [`StreamRuntimeBuilder::subscribe`] instead.
     pub fn subscribe(&self, f: impl FnMut(&SinkEmission) + Send + 'static) {
-        self.shared.subs.lock().push(Box::new(f));
+        self.shared.subs.lock().each.push(Box::new(f));
+    }
+
+    /// Subscribes to sink emissions a delivery batch at a time: `f` is
+    /// called once per retirement drain with every emission it
+    /// released, in serial order — the same sequence
+    /// [`subscribe`](Self::subscribe) callbacks see one by one, cut
+    /// wherever the delivery loop happened to wake. For consumers that
+    /// pay per hand-off (a lock, a wake-up, a socket write) rather than
+    /// per emission. Like `subscribe`, phases retired before this call
+    /// are not replayed.
+    pub fn subscribe_batches(&self, f: impl FnMut(&[SinkEmission]) + Send + 'static) {
+        self.shared.subs.lock().batch.push(Box::new(f));
     }
 
     /// Seals the current epoch explicitly: all buffered events commit
@@ -1817,6 +1890,22 @@ impl StreamRuntime {
     /// Blocks until every committed phase has completed.
     pub fn wait_idle(&self) -> Result<u64, RuntimeError> {
         Ok(self.shared.engine.wait_idle()?)
+    }
+
+    /// Blocks until the sink emissions of every phase retired before
+    /// this call have been handed to every subscriber. Retirement and
+    /// delivery are different threads: after
+    /// [`wait_idle`](Self::wait_idle) returns, the last emissions may
+    /// still be on their way to the callbacks; after this returns they
+    /// are not.
+    pub fn wait_delivered(&self) {
+        let target = self.shared.engine.completed_through();
+        let mut progress = self.shared.delivered.lock();
+        progress.waiters += 1;
+        while progress.frontier < target {
+            self.shared.delivered_cv.wait(&mut progress);
+        }
+        progress.waiters -= 1;
     }
 
     /// A snapshot of the committed script so far. O(epochs sealed), not

@@ -38,7 +38,14 @@
 //!   sequential oracle's output order. Each subscriber owns a bounded
 //!   buffer fed by the tenant's delivery loop; a reader too slow to
 //!   drain it is disconnected (with an [`Error`](wire::Frame::Error)
-//!   frame) rather than allowed to wedge retirement.
+//!   frame) rather than allowed to wedge retirement. Delivery is
+//!   event-driven end to end: the delivery loop publishes each
+//!   retirement drain to the tenant's hub as one shared batch, and
+//!   the connection's writer thread — blocked on the hub, not on a
+//!   timer — writes it at once; a frame holds more than one drain only
+//!   when drains arrived while the previous write was in flight. A
+//!   second thread per subscriber connection reads the socket
+//!   (`Ping`, `Goodbye`, close) under the liveness deadlines below.
 //!
 //! ## Robustness
 //!
@@ -50,10 +57,10 @@
 //!   re-applied — every acked event commits exactly once, and
 //!   concurrent connections on one source are safe (same-session
 //!   batches serialize on the window lock).
-//! * **Liveness.** Connections carry read/write deadlines. An idle
-//!   producer is pinged every ping interval; a peer silent past the
-//!   idle deadline is reaped — a half-open socket cannot wedge
-//!   retirement. The server also pings while a producer is
+//! * **Liveness.** Connections carry read/write deadlines. A silent
+//!   peer (producer or subscriber) is pinged every ping interval; one
+//!   silent past the idle deadline is reaped — a half-open socket
+//!   cannot wedge retirement. The server also pings while a producer is
 //!   flow-blocked, so the client's own deadline sees a live peer.
 //! * **Graceful drain.** [`WireServer::drain`] refuses new `Hello`s,
 //!   lets in-flight frames finish, flushes every acked prefix, lets
@@ -77,20 +84,24 @@ pub use net::{real_net, FaultNet, NetConn, NetFault, NetFaultPlan, NetIo, NetLis
 pub use wire::{FlowState, Frame, Role, WireAlarm, WireError};
 
 use crate::error::PushError;
-use crate::runtime::{RuntimeReport, SourceHandle, StreamRuntime};
+use crate::runtime::{RuntimeReport, SinkEmission, SourceHandle, StreamRuntime};
 use crate::sessions::{Session, SessionPool};
 use crate::RuntimeError;
+use ec_obs::LogHistogram;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a producer retry or subscriber drain sleeps between
-/// checks; bounds shutdown latency.
-const POLL: Duration = Duration::from_millis(1);
+/// Longest a flow-blocked push waits on its source's stripe before
+/// re-checking the stop flag and the heartbeat clock (a seal wakes it
+/// at once), and how often [`WireServer::drain`] re-flushes tenants
+/// while producers are still winding down.
+const FLOW_RECHECK: Duration = Duration::from_millis(20);
 
 /// Counters of the wire transport, rendered onto the pool's `/metrics`
 /// page as `ec_wire_*` series.
@@ -111,6 +122,11 @@ struct WireStats {
     reaped: AtomicU64,
     clean_closes: AtomicU64,
     crash_closes: AtomicU64,
+    /// Hub residence per delivery batch: publish → the socket write
+    /// that carried its last alarm returned (ns).
+    hop_nanos: LogHistogram,
+    /// Alarms per `AlarmBatch` frame written.
+    frame_alarms: LogHistogram,
 }
 
 /// A point-in-time copy of the wire transport counters.
@@ -268,6 +284,18 @@ impl WireStats {
             &[("kind", "crash")],
             s.crash_closes,
         );
+        page.latency_summary(
+            "ec_wire_alarm_hop_seconds",
+            "Alarm residence in the server: delivery-batch publish to socket write returned",
+            &[],
+            &self.hop_nanos.snapshot(),
+        );
+        page.count_summary(
+            "ec_wire_alarm_batch_size",
+            "Alarms per AlarmBatch frame written to subscribers",
+            &[],
+            &self.frame_alarms.snapshot(),
+        );
         page.gauge(
             "ec_wire_draining",
             "1 while the server is draining (refusing new Hellos)",
@@ -277,20 +305,47 @@ impl WireStats {
     }
 }
 
-/// Outcome of one subscriber drain attempt.
+/// One delivery batch as the hub holds it: built once on the delivery
+/// thread, shared by every subscriber slot.
+struct Published {
+    alarms: Vec<WireAlarm>,
+    at: Instant,
+}
+
+/// A run of alarms taken from one published batch.
+struct Chunk {
+    batch: Arc<Published>,
+    range: Range<usize>,
+}
+
+impl Chunk {
+    fn alarms(&self) -> &[WireAlarm] {
+        &self.batch.alarms[self.range.clone()]
+    }
+}
+
+/// What a subscriber's writer half wakes up to.
 enum Drained {
-    /// Alarms, oldest first (possibly after a short wait).
-    Batch(Vec<WireAlarm>),
-    /// Nothing arrived within the timeout.
-    Empty,
+    /// Alarms to write, oldest first.
+    Batch(Vec<Chunk>),
+    /// The server has drained and this slot is empty: the alarm stream
+    /// is complete.
+    Complete,
     /// The slot overflowed: the reader was too slow.
     Overflowed,
+    /// The slot was closed under the writer: the connection's reader
+    /// half ended it, or the server is stopping.
+    Closed,
 }
 
 /// Per-tenant fan-out from the runtime's serial delivery loop to any
 /// number of bounded subscriber slots. `publish` runs on the delivery
-/// thread and never blocks: a full slot is marked overflowed (its
-/// connection is then dropped) instead of wedging retirement.
+/// thread, once per retirement drain, and never blocks: a full slot is
+/// marked overflowed (its connection is then dropped) instead of
+/// wedging retirement. Everything a subscriber's writer half can be
+/// waiting for — alarms, overflow, the end of its connection, server
+/// stop, drain completion — is slot state signalled through `cv`, so
+/// the writer blocks without a timeout.
 struct Hub {
     inner: Mutex<HubInner>,
     cv: Condvar,
@@ -300,13 +355,55 @@ struct Hub {
 struct HubInner {
     slots: Vec<Slot>,
     next: u64,
+    /// Set by [`WireServer::drain`] once every retired alarm has been
+    /// published: a slot that empties after this has seen it all.
+    complete: bool,
+    /// Server stopping: slots registered from now on are born closed.
+    stopped: bool,
 }
 
 struct Slot {
     id: u64,
     cap: usize,
-    queue: VecDeque<WireAlarm>,
+    /// Shared batches, oldest first.
+    queue: VecDeque<Arc<Published>>,
+    /// Alarms of the front batch already taken.
+    head: usize,
+    /// Alarms still queued (what `cap` bounds).
+    len: usize,
     overflowed: bool,
+    closed: bool,
+}
+
+impl Slot {
+    /// Takes up to `max` queued alarms, oldest first.
+    fn take(&mut self, max: usize) -> Vec<Chunk> {
+        let mut want = max.min(self.len);
+        self.len -= want;
+        let mut chunks = Vec::new();
+        while want > 0 {
+            let front = self.queue.front().expect("len counts queued alarms");
+            let end = front.alarms.len().min(self.head + want);
+            chunks.push(Chunk {
+                batch: Arc::clone(front),
+                range: self.head..end,
+            });
+            want -= end - self.head;
+            if end == front.alarms.len() {
+                self.queue.pop_front();
+                self.head = 0;
+            } else {
+                self.head = end;
+            }
+        }
+        chunks
+    }
+
+    fn clear(&mut self) {
+        self.queue.clear();
+        self.head = 0;
+        self.len = 0;
+    }
 }
 
 impl Hub {
@@ -317,17 +414,35 @@ impl Hub {
         })
     }
 
-    fn publish(&self, alarm: &WireAlarm) {
+    /// Hands one delivery batch to every live slot: one lock, one
+    /// wake-up, one `WireAlarm` per emission however many subscribers
+    /// there are.
+    fn publish(&self, emissions: &[SinkEmission]) {
         let mut inner = self.inner.lock();
+        if inner.slots.iter().all(|s| s.overflowed || s.closed) {
+            return;
+        }
+        let batch = Arc::new(Published {
+            alarms: emissions
+                .iter()
+                .map(|e| WireAlarm {
+                    phase: e.phase,
+                    sink: Arc::clone(&e.name),
+                    value: e.value.clone(),
+                })
+                .collect(),
+            at: Instant::now(),
+        });
         for slot in &mut inner.slots {
-            if slot.overflowed {
+            if slot.overflowed || slot.closed {
                 continue;
             }
-            if slot.queue.len() >= slot.cap {
+            if slot.len + batch.alarms.len() > slot.cap {
                 slot.overflowed = true;
-                slot.queue.clear();
+                slot.clear();
             } else {
-                slot.queue.push_back(alarm.clone());
+                slot.len += batch.alarms.len();
+                slot.queue.push_back(Arc::clone(&batch));
             }
         }
         drop(inner);
@@ -338,11 +453,15 @@ impl Hub {
         let mut inner = self.inner.lock();
         let id = inner.next;
         inner.next += 1;
+        let closed = inner.stopped;
         inner.slots.push(Slot {
             id,
             cap: cap.max(1),
             queue: VecDeque::new(),
+            head: 0,
+            len: 0,
             overflowed: false,
+            closed,
         });
         id
     }
@@ -351,25 +470,75 @@ impl Hub {
         self.inner.lock().slots.retain(|s| s.id != id);
     }
 
-    fn drain(&self, id: u64, max: usize, timeout: Duration) -> Drained {
+    /// Blocks until slot `id` has something for its writer: up to
+    /// `max` alarms, or the reason there will be no more.
+    fn next(&self, id: u64, max: usize) -> Drained {
         let mut inner = self.inner.lock();
-        for waited in [false, true] {
+        loop {
+            let complete = inner.complete;
             let Some(slot) = inner.slots.iter_mut().find(|s| s.id == id) else {
-                return Drained::Empty;
+                return Drained::Closed;
             };
+            if slot.closed {
+                return Drained::Closed;
+            }
             if slot.overflowed {
                 return Drained::Overflowed;
             }
-            if !slot.queue.is_empty() {
-                let n = slot.queue.len().min(max);
-                return Drained::Batch(slot.queue.drain(..n).collect());
+            if slot.len > 0 {
+                return Drained::Batch(slot.take(max));
             }
-            if waited {
-                break;
+            if complete {
+                return Drained::Complete;
             }
-            self.cv.wait_for(&mut inner, timeout);
+            self.cv.wait(&mut inner);
         }
-        Drained::Empty
+    }
+
+    /// Marks slot `id`'s connection as over. True for the first caller
+    /// only — the one that accounts for the disconnect and sends any
+    /// parting frame. Does not wake the writer half: the reader half
+    /// does that on its way out ([`subscriber_conn`]), after its
+    /// parting frame, so the writer's socket shutdown cannot cut it
+    /// off.
+    fn close(&self, id: u64) -> bool {
+        let mut inner = self.inner.lock();
+        inner
+            .slots
+            .iter_mut()
+            .find(|s| s.id == id)
+            .is_some_and(|slot| {
+                slot.clear();
+                !std::mem::replace(&mut slot.closed, true)
+            })
+    }
+
+    fn is_closed(&self, id: u64) -> bool {
+        let inner = self.inner.lock();
+        inner
+            .slots
+            .iter()
+            .find(|s| s.id == id)
+            .is_none_or(|s| s.closed)
+    }
+
+    /// Server stop: closes every slot, present and future.
+    fn stop(&self) {
+        let mut inner = self.inner.lock();
+        inner.stopped = true;
+        for slot in &mut inner.slots {
+            slot.clear();
+            slot.closed = true;
+        }
+        drop(inner);
+        self.cv.notify_all();
+    }
+
+    /// Drain: everything retired has been published, so an empty slot
+    /// is a finished stream.
+    fn complete(&self) {
+        self.inner.lock().complete = true;
+        self.cv.notify_all();
     }
 }
 
@@ -445,10 +614,10 @@ struct ServerCtx {
     /// Set by [`WireServer::drain`]: refuse new Hellos, wind down
     /// producer connections after their in-flight frame.
     draining: AtomicBool,
-    /// Set once every acked prefix has been flushed and retirement has
-    /// gone idle: subscribers may now say goodbye after their queue
-    /// empties.
-    drained: AtomicBool,
+    /// Signalled (under `closed_lock`) whenever a producer or
+    /// subscriber connection ends, for [`WireServer::drain`].
+    closed_lock: Mutex<()>,
+    closed_cv: Condvar,
     local_addr: SocketAddr,
     conns: Mutex<Vec<Box<dyn NetConn>>>,
     handlers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -465,11 +634,31 @@ struct ServerCtx {
 }
 
 impl ServerCtx {
-    /// Asks the accept loop to exit: set the flag, then poke the
-    /// listener with a throwaway connection so `accept` returns.
+    /// Asks the accept loop to exit: set the flag, release every
+    /// subscriber writer, then poke the listener with a throwaway
+    /// connection so `accept` returns.
     fn request_stop(&self) {
         self.stop.store(true, Relaxed);
+        for t in self.tenants.values() {
+            t.hub.stop();
+        }
         let _ = std::net::TcpStream::connect(self.local_addr);
+    }
+
+    /// Blocks until `open` (one of the open-connection gauges) reads
+    /// zero or `deadline` passes; true if it reached zero.
+    fn wait_all_closed(&self, open: &AtomicU64, deadline: Instant) -> bool {
+        let mut guard = self.closed_lock.lock();
+        loop {
+            if open.load(Relaxed) == 0 {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            self.closed_cv.wait_for(&mut guard, deadline - now);
+        }
     }
 }
 
@@ -617,13 +806,7 @@ impl WireServerBuilder {
                 .collect::<Result<Vec<_>, _>>()?;
             let hub = Hub::new();
             let pub_hub = Arc::clone(&hub);
-            session.subscribe(move |e| {
-                pub_hub.publish(&WireAlarm {
-                    phase: e.phase,
-                    sink: e.name.to_string(),
-                    value: e.value.clone(),
-                });
-            });
+            session.subscribe_batches(move |batch| pub_hub.publish(batch));
             order.push(name.clone());
             tenants.insert(
                 name.clone(),
@@ -650,7 +833,8 @@ impl WireServerBuilder {
             token: self.token,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
+            closed_lock: Mutex::new(()),
+            closed_cv: Condvar::new(),
             local_addr,
             conns: Mutex::new(Vec::new()),
             handlers: Mutex::new(Vec::new()),
@@ -789,45 +973,50 @@ impl WireServer {
     /// 2. let every producer finish its in-flight frame, then send it
     ///    [`Goodbye`](wire::Frame::Goodbye) — flushing tenants
     ///    throughout so a flow-blocked push can land;
-    /// 3. flush every tenant's acked prefix and wait for retirement to
-    ///    go idle;
+    /// 3. flush every tenant's acked prefix, wait for retirement to go
+    ///    idle and for delivery to hand the last emissions to the
+    ///    subscriber slots;
     /// 4. let subscribers drain their remaining alarms, then send them
-    ///    `Goodbye`;
+    ///    `Goodbye` — every retired alarm is in a slot before step 4
+    ///    begins and a connection has one writer, so the goodbye never
+    ///    overtakes an `AlarmBatch`;
     /// 5. run the normal [`shutdown`](Self::shutdown).
     ///
-    /// Each waiting step is bounded by
+    /// Steps 2 and 4 each end the moment their last connection closes
+    /// and are each bounded by
     /// [`drain_grace`](WireServerBuilder::drain_grace); a wedged peer
     /// delays the drain at most that long.
     pub fn drain(self) -> Vec<(String, Result<RuntimeReport, RuntimeError>)> {
         if let Some(ctx) = self.ctx.as_ref() {
             ctx.draining.store(true, Relaxed);
             let deadline = Instant::now() + ctx.drain_grace;
-            while ctx.stats.producers_open.load(Relaxed) > 0 && Instant::now() < deadline {
-                // Flushing unblocks any producer stuck in a full
-                // buffer so its in-flight batch can complete and be
-                // recorded before the goodbye.
+            loop {
+                // A producer stuck on a full buffer needs a seal nobody
+                // else will send: flushing lets its in-flight batch
+                // complete and be recorded before the goodbye.
                 for t in ctx.tenants.values() {
                     let _ = t.session.flush();
                 }
-                std::thread::sleep(POLL);
+                let now = Instant::now();
+                if now >= deadline
+                    || ctx.wait_all_closed(
+                        &ctx.stats.producers_open,
+                        deadline.min(now + FLOW_RECHECK),
+                    )
+                {
+                    break;
+                }
             }
             for t in ctx.tenants.values() {
                 let _ = t.session.flush();
                 let _ = t.session.wait_idle();
+                t.session.wait_delivered();
+                t.hub.complete();
             }
-            // `wait_idle` covers retirement; the delivery thread
-            // forwards the final sink emissions to the hub up to one
-            // ~50ms wakeup later. Let that settle before declaring the
-            // alarm stream complete, or the goodbye could beat the
-            // last batch.
-            std::thread::sleep(Duration::from_millis(150));
-            ctx.drained.store(true, Relaxed);
             // The producer wait above may have consumed the whole
             // grace period on a wedged peer; subscribers get their own.
             let deadline = Instant::now() + ctx.drain_grace;
-            while ctx.stats.subscribers_open.load(Relaxed) > 0 && Instant::now() < deadline {
-                std::thread::sleep(POLL);
-            }
+            ctx.wait_all_closed(&ctx.stats.subscribers_open, deadline);
         }
         self.shutdown()
     }
@@ -919,12 +1108,27 @@ fn accept_loop(listener: Box<dyn NetListener>, ctx: Arc<ServerCtx>) {
     }
 }
 
-/// Decrements an open-connection gauge on scope exit.
-struct OpenGuard<'a>(&'a AtomicU64);
+/// Counts one open connection in a gauge until scope exit, then tells
+/// [`ServerCtx::wait_all_closed`].
+struct OpenGuard<'a> {
+    ctx: &'a ServerCtx,
+    open: &'a AtomicU64,
+}
+
+impl<'a> OpenGuard<'a> {
+    fn new(ctx: &'a ServerCtx, open: &'a AtomicU64) -> OpenGuard<'a> {
+        open.fetch_add(1, Relaxed);
+        OpenGuard { ctx, open }
+    }
+}
 
 impl Drop for OpenGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Relaxed);
+        self.open.fetch_sub(1, Relaxed);
+        // Taking the lock orders this against a waiter's check-then-
+        // wait, so the wake-up cannot fall between the two.
+        let _guard = self.ctx.closed_lock.lock();
+        self.ctx.closed_cv.notify_all();
     }
 }
 
@@ -1039,14 +1243,12 @@ fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
     let _ = reader.set_read_timeout(Some(ctx.ping_interval));
     match role {
         Role::Producer => {
-            ctx.stats.producers_open.fetch_add(1, Relaxed);
-            let _open = OpenGuard(&ctx.stats.producers_open);
+            let _open = OpenGuard::new(&ctx, &ctx.stats.producers_open);
             producer_loop(&ctx, &t, &mut reader, &mut writer, peer_version, session);
         }
         Role::Subscriber => {
-            ctx.stats.subscribers_open.fetch_add(1, Relaxed);
-            let _open = OpenGuard(&ctx.stats.subscribers_open);
-            subscriber_loop(&ctx, &t, &mut reader, &mut writer, peer_version);
+            let _open = OpenGuard::new(&ctx, &ctx.stats.subscribers_open);
+            subscriber_conn(&ctx, &t, reader, writer, peer_version);
         }
     }
 }
@@ -1381,7 +1583,7 @@ fn push_one(
                         *conn_ok = false;
                     }
                 }
-                std::thread::sleep(POLL);
+                handle.wait_space(FLOW_RECHECK.min(ctx.ping_interval));
             }
             Err(PushError::Closed) => {
                 if *conn_ok {
@@ -1399,17 +1601,27 @@ fn push_one(
     }
 }
 
-fn subscriber_loop(
+/// The write side of a subscriber connection, shared by its two
+/// halves. A frame is written whole under the lock, so the writer's
+/// `AlarmBatch`es and the reader's `Pong`s never interleave.
+type SharedWriter = Mutex<Box<dyn NetConn>>;
+
+/// Serves one subscriber connection: waits for `SubscribeAlarms`,
+/// registers a hub slot, then splits into a writer half (a second
+/// thread, blocked on the hub) and a reader half (this thread, blocked
+/// on the socket). Whichever half ends first closes the slot and shuts
+/// the socket down, which is what unblocks the other.
+fn subscriber_conn(
     ctx: &ServerCtx,
     t: &Tenant,
-    reader: &mut Box<dyn NetConn>,
-    writer: &mut Box<dyn NetConn>,
+    mut reader: Box<dyn NetConn>,
+    mut writer: Box<dyn NetConn>,
     peer_version: u32,
 ) {
     let mut fr = wire::FrameReader::new();
     let started = Instant::now();
     loop {
-        match fr.read_from(reader) {
+        match fr.read_from(&mut reader) {
             Ok(Some(Frame::SubscribeAlarms)) => {
                 ctx.stats.frames_in.fetch_add(1, Relaxed);
                 break;
@@ -1423,7 +1635,7 @@ fn subscriber_loop(
                 ctx.stats.frames_in.fetch_add(1, Relaxed);
                 send(
                     ctx,
-                    writer,
+                    &mut writer,
                     &Frame::Error {
                         reason: "a subscriber must send SubscribeAlarms first".into(),
                     },
@@ -1435,7 +1647,7 @@ fn subscriber_loop(
                     ctx.stats.reaped.fetch_add(1, Relaxed);
                     abort(
                         ctx,
-                        writer,
+                        &mut writer,
                         peer_version,
                         "idle deadline exceeded: reaping half-open subscriber".into(),
                     );
@@ -1445,7 +1657,7 @@ fn subscriber_loop(
             Err(e) => {
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
+                    abort(ctx, &mut writer, peer_version, e.to_string());
                 }
                 return;
             }
@@ -1455,104 +1667,178 @@ fn subscriber_loop(
     // Acknowledge only once the slot exists: after SubscribeOk, every
     // retired alarm is either delivered or this subscriber is
     // disconnected — no silent registration gap.
-    if !send(ctx, writer, &Frame::SubscribeOk) {
-        t.hub.unregister(id);
-        return;
-    }
-    // Short read deadline from here on: the loop interleaves hub
-    // drains with polls for client frames (Ping, Goodbye, close).
-    let _ = reader.set_read_timeout(Some(POLL));
-    let mut last_out = Instant::now();
-    let mut ping_nonce = 0u64;
-    loop {
-        if ctx.stop.load(Relaxed) {
-            break;
-        }
-        match fr.read_from(reader) {
-            Ok(Some(Frame::Ping { nonce })) => {
-                ctx.stats.frames_in.fetch_add(1, Relaxed);
-                if !send(ctx, writer, &Frame::Pong { nonce }) {
-                    ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                    break;
-                }
+    if send(ctx, &mut writer, &Frame::SubscribeOk) {
+        let out: SharedWriter = Mutex::new(writer);
+        std::thread::scope(|halves| {
+            let spawned = std::thread::Builder::new()
+                .name("ec-wire-sub-writer".into())
+                .spawn_scoped(halves, || {
+                    subscriber_writer(ctx, t, id, &out, peer_version);
+                    // Unblocks the reader half's socket read.
+                    let _ = out.lock().shutdown_both();
+                });
+            if spawned.is_ok() {
+                subscriber_reader(ctx, t, id, &mut reader, fr, &out, peer_version);
             }
-            Ok(Some(Frame::Pong { .. })) => {
-                ctx.stats.frames_in.fetch_add(1, Relaxed);
-            }
-            Ok(Some(Frame::Goodbye { .. })) => {
-                ctx.stats.frames_in.fetch_add(1, Relaxed);
-                ctx.stats.clean_closes.fetch_add(1, Relaxed);
-                t.hub.unregister(id);
-                return;
-            }
-            Ok(Some(_)) => {
-                ctx.stats.frames_in.fetch_add(1, Relaxed);
-                send(
-                    ctx,
-                    writer,
-                    &Frame::Error {
-                        reason: "unexpected frame on a subscriber connection".into(),
-                    },
-                );
-                break;
-            }
-            Ok(None) => {}
-            Err(e) => {
-                ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
-                }
-                break;
-            }
-        }
-        match t.hub.drain(id, ctx.alarm_batch, Duration::from_millis(50)) {
-            Drained::Batch(alarms) => {
-                last_out = Instant::now();
-                ctx.stats.alarms_out.fetch_add(alarms.len() as u64, Relaxed);
-                if !send(ctx, writer, &Frame::AlarmBatch { alarms }) {
-                    ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                    break;
-                }
-            }
-            Drained::Empty => {
-                if ctx.drained.load(Relaxed) {
-                    // Every acked prefix is flushed and retired, and
-                    // this slot is empty: the stream is complete.
-                    if peer_version >= 2 {
-                        send(
-                            ctx,
-                            writer,
-                            &Frame::Goodbye {
-                                reason: "server draining: alarm stream complete".into(),
-                            },
-                        );
-                    }
-                    break;
-                }
-                if peer_version >= 2 && last_out.elapsed() >= ctx.ping_interval {
-                    last_out = Instant::now();
-                    ping_nonce += 1;
-                    ctx.stats.pings.fetch_add(1, Relaxed);
-                    if !send(ctx, writer, &Frame::Ping { nonce: ping_nonce }) {
-                        ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                        break;
-                    }
-                }
-            }
-            Drained::Overflowed => {
-                send(
-                    ctx,
-                    writer,
-                    &Frame::Error {
-                        reason: format!(
-                            "subscriber buffer overflowed ({} alarms): reader too slow",
-                            ctx.subscriber_buffer
-                        ),
-                    },
-                );
-                break;
-            }
-        }
+            // Unblocks the writer half, whether it waits on the hub or
+            // is stuck in a socket write.
+            t.hub.close(id);
+            t.hub.cv.notify_all();
+            let _ = reader.shutdown_both();
+        });
     }
     t.hub.unregister(id);
+}
+
+/// Closes slot `id`, counting the disconnect in `counter` if this call
+/// is the one that ended the connection (see [`Hub::close`]).
+fn close_counting(t: &Tenant, id: u64, counter: &AtomicU64) -> bool {
+    let first = t.hub.close(id);
+    if first {
+        counter.fetch_add(1, Relaxed);
+    }
+    first
+}
+
+/// The writer half: blocks on the hub and writes an `AlarmBatch` the
+/// moment its slot holds alarms — whatever accumulated while the
+/// previous write was in flight goes out as one frame, capped by
+/// `alarm_batch`.
+fn subscriber_writer(ctx: &ServerCtx, t: &Tenant, id: u64, out: &SharedWriter, peer_version: u32) {
+    loop {
+        match t.hub.next(id, ctx.alarm_batch) {
+            Drained::Batch(chunks) => {
+                let parts: Vec<&[WireAlarm]> = chunks.iter().map(Chunk::alarms).collect();
+                let payload = wire::encode_alarm_batch(&parts);
+                let alarms: usize = parts.iter().map(|p| p.len()).sum();
+                if wire::write_payload(&mut *out.lock(), &payload).is_err() {
+                    close_counting(t, id, &ctx.stats.crash_closes);
+                    return;
+                }
+                let written = Instant::now();
+                for chunk in &chunks {
+                    // One residence sample per delivery batch, taken
+                    // when its last alarm has gone out.
+                    if chunk.range.end == chunk.batch.alarms.len() {
+                        let hop = written.duration_since(chunk.batch.at);
+                        ctx.stats.hop_nanos.record(hop.as_nanos() as u64);
+                    }
+                }
+                ctx.stats.frame_alarms.record(alarms as u64);
+                ctx.stats.alarms_out.fetch_add(alarms as u64, Relaxed);
+                ctx.stats.frames_out.fetch_add(1, Relaxed);
+            }
+            Drained::Complete => {
+                if t.hub.close(id) && peer_version >= 2 {
+                    send(
+                        ctx,
+                        &mut *out.lock(),
+                        &Frame::Goodbye {
+                            reason: "server draining: alarm stream complete".into(),
+                        },
+                    );
+                }
+                return;
+            }
+            Drained::Overflowed => {
+                if t.hub.close(id) {
+                    send(
+                        ctx,
+                        &mut *out.lock(),
+                        &Frame::Error {
+                            reason: format!(
+                                "subscriber buffer overflowed ({} alarms): reader too slow",
+                                ctx.subscriber_buffer
+                            ),
+                        },
+                    );
+                }
+                return;
+            }
+            Drained::Closed => return,
+        }
+    }
+}
+
+/// The reader half: blocks on the socket under the same deadlines as a
+/// producer connection — each `ping_interval` of silence pings a v2
+/// peer, `idle_timeout` of it reaps the connection — and handles what a
+/// subscriber may send: `Ping`, `Pong`, `Goodbye`, or a close. (A v1
+/// peer cannot answer a ping, so it is neither pinged nor reaped; its
+/// death shows as a failed write.)
+fn subscriber_reader(
+    ctx: &ServerCtx,
+    t: &Tenant,
+    id: u64,
+    reader: &mut Box<dyn NetConn>,
+    mut fr: wire::FrameReader,
+    out: &SharedWriter,
+    peer_version: u32,
+) {
+    let mut last_frame = Instant::now();
+    let mut ping_nonce = 0u64;
+    loop {
+        let frame = match fr.read_from(reader) {
+            Ok(Some(f)) => f,
+            Ok(None) => {
+                if t.hub.is_closed(id) {
+                    return;
+                }
+                if peer_version < 2 {
+                    continue;
+                }
+                if last_frame.elapsed() >= ctx.idle_timeout {
+                    if close_counting(t, id, &ctx.stats.reaped) {
+                        abort(
+                            ctx,
+                            &mut *out.lock(),
+                            peer_version,
+                            "idle deadline exceeded: reaping half-open subscriber".into(),
+                        );
+                    }
+                    return;
+                }
+                ping_nonce += 1;
+                ctx.stats.pings.fetch_add(1, Relaxed);
+                if !send(ctx, &mut *out.lock(), &Frame::Ping { nonce: ping_nonce }) {
+                    close_counting(t, id, &ctx.stats.crash_closes);
+                    return;
+                }
+                continue;
+            }
+            Err(e) => {
+                if close_counting(t, id, &ctx.stats.crash_closes) && !e.is_disconnect() {
+                    abort(ctx, &mut *out.lock(), peer_version, e.to_string());
+                }
+                return;
+            }
+        };
+        last_frame = Instant::now();
+        ctx.stats.frames_in.fetch_add(1, Relaxed);
+        match frame {
+            Frame::Ping { nonce } => {
+                if !send(ctx, &mut *out.lock(), &Frame::Pong { nonce }) {
+                    close_counting(t, id, &ctx.stats.crash_closes);
+                    return;
+                }
+            }
+            Frame::Pong { .. } => {}
+            Frame::Goodbye { .. } => {
+                close_counting(t, id, &ctx.stats.clean_closes);
+                return;
+            }
+            _ => {
+                if t.hub.close(id) {
+                    send(
+                        ctx,
+                        &mut *out.lock(),
+                        &Frame::Error {
+                            reason: "unexpected frame on a subscriber connection".into(),
+                        },
+                    );
+                }
+                return;
+            }
+        }
+    }
 }

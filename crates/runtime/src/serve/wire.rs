@@ -27,6 +27,7 @@
 
 use ec_events::{SnapshotError, StateReader, StateWriter, Value};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Connection preamble magic: `"ECWP"` as a little-endian u32.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"ECWP");
@@ -74,8 +75,9 @@ pub enum FlowState {
 pub struct WireAlarm {
     /// 1-based phase the sink emitted in (serial order).
     pub phase: u64,
-    /// Sink vertex name.
-    pub sink: String,
+    /// Sink vertex name. Shared: a sink's every alarm (and every
+    /// subscriber's copy of it) points at one allocation.
+    pub sink: Arc<str>,
     /// The emitted value.
     pub value: Value,
 }
@@ -425,15 +427,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         }
         Frame::SubscribeAlarms => w.put_u8(TAG_SUBSCRIBE),
         Frame::SubscribeOk => w.put_u8(TAG_SUBSCRIBE_OK),
-        Frame::AlarmBatch { alarms } => {
-            w.put_u8(TAG_ALARM_BATCH);
-            w.put_u32(alarms.len() as u32);
-            for a in alarms {
-                w.put_u64(a.phase);
-                w.put_str(&a.sink);
-                w.put_value(&a.value);
-            }
-        }
+        Frame::AlarmBatch { alarms } => return encode_alarm_batch(&[alarms]),
         Frame::MetricsRequest => w.put_u8(TAG_METRICS_REQ),
         Frame::MetricsReply { json } => {
             w.put_u8(TAG_METRICS_REPLY);
@@ -467,6 +461,22 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             w.put_u8(TAG_ABORT);
             w.put_str(reason);
         }
+    }
+    w.into_bytes()
+}
+
+/// Encodes an [`AlarmBatch`](Frame::AlarmBatch) payload whose alarms
+/// are the concatenation of `parts` — what the server's subscriber
+/// writer holds (runs of shared delivery batches), encoded without
+/// first copying them into an owned frame.
+pub fn encode_alarm_batch(parts: &[&[WireAlarm]]) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_u8(TAG_ALARM_BATCH);
+    w.put_u32(parts.iter().map(|p| p.len()).sum::<usize>() as u32);
+    for a in parts.iter().copied().flatten() {
+        w.put_u64(a.phase);
+        w.put_str(&a.sink);
+        w.put_value(&a.value);
     }
     w.into_bytes()
 }
@@ -538,11 +548,18 @@ pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
         TAG_SUBSCRIBE_OK => Frame::SubscribeOk,
         TAG_ALARM_BATCH => {
             let n = checked_count(r.get_u32()?, payload.len())?;
-            let mut alarms = Vec::with_capacity(n);
+            let mut alarms: Vec<WireAlarm> = Vec::with_capacity(n);
             for _ in 0..n {
+                let phase = r.get_u64()?;
+                let name = r.get_str()?;
+                // Runs of one sink share its name.
+                let sink = match alarms.last() {
+                    Some(prev) if *prev.sink == *name => Arc::clone(&prev.sink),
+                    _ => Arc::from(name),
+                };
                 alarms.push(WireAlarm {
-                    phase: r.get_u64()?,
-                    sink: r.get_str()?,
+                    phase,
+                    sink,
                     value: r.get_value()?,
                 });
             }
@@ -631,14 +648,18 @@ pub fn read_preamble(r: &mut impl Read) -> Result<u32, WireError> {
 /// duplicates a write operates on frame boundaries — a duplicated
 /// frame is two decodable copies, a torn one is a discarded prefix.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let payload = encode(frame);
+    write_payload(w, &encode(frame))
+}
+
+/// [`write_frame`] for an already encoded payload.
+pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() as u64 > MAX_FRAME as u64 {
         return Err(WireError::Oversized(payload.len() as u32));
     }
     let mut buf = Vec::with_capacity(payload.len() + 8);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    buf.extend_from_slice(&ec_store::crc32(&payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&ec_store::crc32(payload).to_le_bytes());
     w.write_all(&buf)?;
     w.flush()?;
     Ok(())

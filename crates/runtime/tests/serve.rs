@@ -17,16 +17,17 @@ use ec_events::Value;
 use ec_fusion::operators::aggregate::Aggregate;
 use ec_fusion::operators::moving::MovingAverage;
 use ec_fusion::operators::threshold::Threshold;
-use ec_runtime::serve::wire::{self, Frame, Role};
-use ec_runtime::serve::{WireClient, WireServer};
+use ec_runtime::serve::wire::{self, Frame, Role, WireAlarm, WireError};
+use ec_runtime::serve::{FaultNet, NetFaultPlan, NetIo, WireClient, WireServer};
 use ec_runtime::{Backpressure, PhaseScript, SessionPool, StreamRuntime, StreamRuntimeBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +83,59 @@ fn serve(tenants: &[&str], build: impl Fn() -> StreamRuntimeBuilder) -> WireServ
         .unwrap()
 }
 
+/// Polls `cond` until it holds; panics with `what` after 5 s. For
+/// server-side counters that settle a few instructions after the
+/// socket event the test just observed.
+fn settle(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "never settled: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A hand-rolled subscriber connection: handshake and `SubscribeAlarms`
+/// done, then the test owns every byte — so it can go silent, say
+/// goodbye, or ping at a moment of its choosing.
+fn raw_subscriber(addr: std::net::SocketAddr, tenant: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    wire::write_preamble(&mut stream).unwrap();
+    wire::write_frame(
+        &mut stream,
+        &Frame::Hello {
+            token: String::new(),
+            tenant: tenant.into(),
+            role: Role::Subscriber,
+        },
+    )
+    .unwrap();
+    wire::read_preamble(&mut stream).unwrap();
+    assert!(matches!(
+        wire::read_frame(&mut stream).unwrap(),
+        Frame::HelloOk { .. }
+    ));
+    wire::write_frame(&mut stream, &Frame::SubscribeAlarms).unwrap();
+    assert_eq!(wire::read_frame(&mut stream).unwrap(), Frame::SubscribeOk);
+    stream
+}
+
+/// A server whose liveness timers are far beyond any test's patience:
+/// whatever happens promptly on it was not driven by a timer.
+fn serve_without_timers(tenant: &str, net: Option<Arc<dyn NetIo>>) -> WireServer {
+    let pool = SessionPool::builder().threads(2).max_sessions(1).build();
+    let sessions = vec![pool.open(tenant.to_string(), tenant_builder()).unwrap()];
+    let mut builder = WireServer::builder()
+        .ping_interval(Duration::from_secs(30))
+        .idle_timeout(Duration::from_secs(90));
+    if let Some(net) = net {
+        builder = builder.net(net);
+    }
+    builder.bind("127.0.0.1:0", pool, sessions).unwrap()
+}
+
 /// N remote producers over real TCP, pushing interleaved batches into
 /// M tenants, commit exactly what the sequential oracle of the
 /// committed script would — serializability survives the socket.
@@ -134,24 +188,19 @@ fn remote_producers_match_the_sequential_oracle() {
     }
 
     // Drain the wire subscriber until it has everything the in-process
-    // subscription saw (both feed from the same serial delivery loop).
-    // Delivery runs on its own thread and can lag retirement by one
-    // ~50ms wakeup, so wait for the in-process stream to quiesce
-    // before snapshotting it.
-    server.tenant("alpha").unwrap().wait_idle().unwrap();
-    let want = loop {
-        let before = inproc.lock().unwrap().len();
-        std::thread::sleep(Duration::from_millis(60));
-        let after = inproc.lock().unwrap();
-        if after.len() == before {
-            break after.clone();
-        }
+    // subscription saw (both feed from the same serial delivery loop,
+    // which runs on its own thread behind retirement).
+    let want = {
+        let alpha = server.tenant("alpha").unwrap();
+        alpha.wait_idle().unwrap();
+        alpha.wait_delivered();
+        inproc.lock().unwrap().clone()
     };
     let mut got: Vec<(u64, Value)> = Vec::new();
     while got.len() < want.len() {
         let alarms = wire_sub.next_alarms().expect("alarm stream live");
         for a in alarms {
-            assert_eq!(a.sink, "alarm");
+            assert_eq!(&*a.sink, "alarm");
             got.push((a.phase, a.value));
         }
     }
@@ -357,7 +406,8 @@ fn full_source_emits_flow_control_and_resumes() {
 
 /// A subscriber too slow to drain its bounded buffer is disconnected —
 /// with a diagnostic — while retirement keeps going at full speed for
-/// everyone else.
+/// everyone else: a healthy subscriber on the same tenant, fed from
+/// the same shared batches, receives every alarm.
 #[test]
 fn slow_subscriber_is_disconnected_not_obeyed() {
     // A fat sink name makes each alarm frame heavy, so an unread
@@ -366,7 +416,7 @@ fn slow_subscriber_is_disconnected_not_obeyed() {
     // hub slot overflowing).
     // Sized so the ~1000 alarms total well beyond what the kernel will
     // buffer for an unread connection (tcp_wmem max 4 MiB + a ~128 KiB
-    // unread receive window), while one 8-alarm batch stays far under
+    // unread receive window), while a full 32-alarm frame stays under
     // MAX_FRAME.
     let fat_sink = format!("alarm-{}", "x".repeat(16 * 1024));
     let server = {
@@ -382,7 +432,7 @@ fn slow_subscriber_is_disconnected_not_obeyed() {
         };
         let sessions = vec![pool.open("noisy", builder).unwrap()];
         WireServer::builder()
-            .subscriber_buffer(8)
+            .subscriber_buffer(32)
             .bind("127.0.0.1:0", pool, sessions)
             .unwrap()
     };
@@ -392,17 +442,45 @@ fn slow_subscriber_is_disconnected_not_obeyed() {
     lazy.subscribe().unwrap();
     // ... and then it reads nothing at all while the firehose runs.
 
+    // Its neighbour reads as fast as alarms come.
+    let healthy_seen = Arc::new(AtomicUsize::new(0));
+    let healthy = {
+        let mut sub = WireClient::connect(&addr, "", "noisy", Role::Subscriber).unwrap();
+        sub.subscribe().unwrap();
+        let seen = Arc::clone(&healthy_seen);
+        std::thread::spawn(move || {
+            let mut phases = Vec::new();
+            while phases.len() < 1000 {
+                let alarms = sub
+                    .next_alarms()
+                    .expect("the healthy subscriber stays connected");
+                phases.extend(alarms.iter().map(|a| a.phase));
+                seen.store(phases.len(), Ordering::Release);
+            }
+            phases
+        })
+    };
+
     let mut producer = WireClient::connect(&addr, "", "noisy", Role::Producer).unwrap();
-    let mut pushed = 0u32;
-    for round in 0..40 {
-        let batch: Vec<Value> = (0..25)
-            .map(|i| Value::Float((round * 25 + i) as f64))
+    let mut pushed = 0usize;
+    for round in 0..125 {
+        let batch: Vec<Value> = (0..8)
+            .map(|i| Value::Float((round * 8 + i) as f64))
             .collect();
-        pushed += producer.push_batch(0, &batch).unwrap();
+        pushed += producer.push_batch(0, &batch).unwrap() as usize;
         producer.seal().unwrap();
+        // Closed loop on the healthy reader, so its slot never holds
+        // more than one round and only the lazy one can overflow.
+        settle("healthy subscriber keeps up", || {
+            healthy_seen.load(Ordering::Acquire) >= pushed
+        });
     }
     assert_eq!(pushed, 1000, "retirement never wedged on the slow reader");
-    producer.seal().unwrap();
+    assert_eq!(
+        healthy.join().unwrap(),
+        (1..=1000).collect::<Vec<u64>>(),
+        "the healthy subscriber saw every alarm, in order"
+    );
 
     // Now the lazy reader finally drains: it gets some alarms, then the
     // server's verdict. (The disconnect may also surface as a raw EOF
@@ -411,7 +489,7 @@ fn slow_subscriber_is_disconnected_not_obeyed() {
         match lazy.next_alarms() {
             Ok(alarms) => {
                 for a in &alarms {
-                    assert_eq!(a.sink, fat_sink);
+                    assert_eq!(*a.sink, *fat_sink);
                 }
             }
             Err(e) => break e,
@@ -424,13 +502,7 @@ fn slow_subscriber_is_disconnected_not_obeyed() {
         other => assert!(other.is_disconnect(), "unexpected error: {other}"),
     }
 
-    // A fresh subscriber still gets served after the episode — once
-    // the backlog has retired, so the firehose doesn't instantly
-    // overflow this one too.
-    {
-        let t = server.tenant("noisy").unwrap();
-        t.wait_idle().unwrap();
-    }
+    // A fresh subscriber still gets served after the episode.
     let mut fresh = WireClient::connect(&addr, "", "noisy", Role::Subscriber).unwrap();
     fresh.subscribe().unwrap();
     producer.push_batch(0, &[Value::Float(999.0)]).unwrap();
@@ -537,11 +609,17 @@ fn metrics_endpoint_serves_wire_series_and_health() {
     let addr = server.local_addr().to_string();
     let metrics = server.metrics_addr().expect("metrics bound").to_string();
 
+    let mut sub = WireClient::connect(&addr, "", "obs", Role::Subscriber).unwrap();
+    sub.subscribe().unwrap();
     let mut client = WireClient::connect(&addr, "", "obs", Role::Producer).unwrap();
     client
-        .push_batch(0, &[Value::Float(1.0), Value::Float(2.0)])
+        .push_batch(0, &[Value::Float(100.0), Value::Float(2.0)])
         .unwrap();
     client.seal().unwrap();
+    // The first phase crosses the threshold; once its alarm has been
+    // read, its hop and batch-size samples are recorded.
+    assert!(!sub.next_alarms().unwrap().is_empty());
+    settle("alarm frame accounted", || server.stats().alarms_out >= 1);
 
     let page = ec_obs::http_get(&metrics, "/metrics").unwrap();
     ec_obs::validate_exposition(&page).unwrap();
@@ -549,10 +627,15 @@ fn metrics_endpoint_serves_wire_series_and_health() {
         "ec_wire_connections_total",
         "ec_wire_frames_total",
         "ec_wire_events_total",
+        "ec_wire_alarm_hop_seconds{quantile=\"0.5\"}",
+        "ec_wire_alarm_hop_seconds_count 1",
+        "ec_wire_alarm_batch_size{quantile=\"0.5\"}",
+        "ec_wire_alarm_batch_size_sum 1",
         "ec_session_events_per_sec",
     ] {
         assert!(page.contains(series), "missing {series} in:\n{page}");
     }
+    drop(sub);
     let health = ec_obs::http_get(&metrics, "/healthz").unwrap();
     assert!(health.contains("\"verdict\""), "{health}");
     assert!(health.contains("\"obs\""), "{health}");
@@ -604,4 +687,327 @@ fn bad_hellos_are_refused() {
     for (name, report) in server.shutdown() {
         report.unwrap_or_else(|e| panic!("{name} closes cleanly: {e}"));
     }
+}
+
+/// A subscriber that leaves while the stream is idle — with a
+/// `Goodbye`, or by just hanging up — frees its hub slot at once: the
+/// reader half is blocked on the socket, not waiting out a ping
+/// interval, and its exit wakes the writer half through the hub.
+#[test]
+fn idle_subscriber_departure_frees_its_slot_promptly() {
+    let server = serve_without_timers("idle", None);
+    let addr = server.local_addr();
+
+    let mut polite = raw_subscriber(addr, "idle");
+    let rude = raw_subscriber(addr, "idle");
+    assert_eq!(server.stats().subscribers_open, 2);
+
+    wire::write_frame(
+        &mut polite,
+        &Frame::Goodbye {
+            reason: "done".into(),
+        },
+    )
+    .unwrap();
+    settle("goodbye frees the slot", || {
+        let s = server.stats();
+        s.subscribers_open == 1 && s.clean_closes == 1
+    });
+    // The server hung up in turn.
+    assert!(wire::read_frame(&mut polite).unwrap_err().is_disconnect());
+
+    drop(rude);
+    settle("a vanished peer frees the slot", || {
+        let s = server.stats();
+        s.subscribers_open == 0 && s.crash_closes == 1
+    });
+    // One disconnect each, however many threads noticed it.
+    let stats = server.stats();
+    assert_eq!((stats.clean_closes, stats.crash_closes), (1, 1));
+    assert_eq!(stats.pings, 0, "no timer fired: {stats:?}");
+    server.shutdown();
+}
+
+/// A half-open subscriber — subscribed, then silent: no pongs, no
+/// reads — is pinged and then reaped at the idle deadline.
+#[test]
+fn half_open_subscriber_is_reaped_at_the_idle_deadline() {
+    let pool = SessionPool::builder().threads(2).max_sessions(1).build();
+    let sessions = vec![pool.open("reap".to_string(), tenant_builder()).unwrap()];
+    let server = WireServer::builder()
+        .ping_interval(Duration::from_millis(40))
+        .idle_timeout(Duration::from_millis(200))
+        .bind("127.0.0.1:0", pool, sessions)
+        .unwrap();
+    let mut wedged = raw_subscriber(server.local_addr(), "reap");
+    settle("reaped", || {
+        let s = server.stats();
+        s.reaped == 1 && s.subscribers_open == 0
+    });
+    let stats = server.stats();
+    assert!(stats.pings >= 1, "probed before reaping: {stats:?}");
+    assert_eq!((stats.clean_closes, stats.crash_closes), (0, 0));
+    // What the peer would have seen, had it been reading: pings, then
+    // the typed abort.
+    let mut last = None;
+    while let Ok(frame) = wire::read_frame(&mut wedged) {
+        assert!(matches!(frame, Frame::Ping { .. } | Frame::Abort { .. }));
+        last = Some(frame);
+    }
+    assert!(matches!(last, Some(Frame::Abort { .. })), "{last:?}");
+    server.shutdown();
+}
+
+/// The reader half answers a subscriber's `Ping` while the writer half
+/// is in the middle of an alarm burst, and the two halves' frames never
+/// interleave on the socket (every frame still passes its CRC).
+#[test]
+fn subscriber_ping_is_answered_mid_burst() {
+    let pool = SessionPool::builder().threads(2).max_sessions(1).build();
+    let builder = {
+        let mut b = StreamRuntime::builder();
+        let s1 = b.live_source("s1");
+        // Emits every phase: one alarm per event.
+        b.add("avg", MovingAverage::new(3), &[s1]);
+        b.record_history(false).record_script(false)
+    };
+    let sessions = vec![pool.open("burst", builder).unwrap()];
+    let server = WireServer::builder()
+        .subscriber_buffer(1 << 16)
+        .ping_interval(Duration::from_secs(30))
+        .idle_timeout(Duration::from_secs(90))
+        .bind("127.0.0.1:0", pool, sessions)
+        .unwrap();
+    let addr = server.local_addr();
+    let mut sub = raw_subscriber(addr, "burst");
+
+    // The burst lasts until the pong has been seen.
+    let ponged = Arc::new(AtomicBool::new(false));
+    let producer = {
+        let ponged = Arc::clone(&ponged);
+        std::thread::spawn(move || {
+            let mut client = WireClient::connect(addr, "", "burst", Role::Producer).unwrap();
+            let mut pushed = 0u64;
+            while !ponged.load(Ordering::Acquire) {
+                let batch: Vec<Value> = (0..32).map(|i| Value::Float(i as f64)).collect();
+                pushed += client.push_batch(0, &batch).unwrap() as u64;
+                client.seal().unwrap();
+            }
+            pushed
+        })
+    };
+
+    let mut last_phase = 0u64;
+    let mut pinged = false;
+    loop {
+        match wire::read_frame(&mut sub).expect("stream stays decodable") {
+            Frame::AlarmBatch { alarms } => {
+                for a in &alarms {
+                    assert_eq!(a.phase, last_phase + 1, "serial order, no gaps");
+                    last_phase = a.phase;
+                }
+                if !pinged {
+                    // Alarms are flowing: ping into the burst.
+                    wire::write_frame(&mut sub, &Frame::Ping { nonce: 77 }).unwrap();
+                    pinged = true;
+                }
+            }
+            Frame::Pong { nonce } => {
+                assert_eq!(nonce, 77);
+                break;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    ponged.store(true, Ordering::Release);
+    let pushed = producer.join().unwrap();
+    assert!(pushed > 0);
+    drop(sub);
+    server.shutdown();
+}
+
+/// The latency contract, without a stopwatch race: every timer on the
+/// server is tens of seconds and the subscriber sends nothing after
+/// subscribing, so an alarm that arrives well inside a second was
+/// pushed to the socket by its retirement, not found by a poll.
+fn alarm_arrives_without_a_timer(net: Option<Arc<dyn NetIo>>) {
+    let server = serve_without_timers("now", net.clone());
+    let addr = server.local_addr();
+    let connect = |role| {
+        let mut b = WireClient::builder();
+        if let Some(net) = &net {
+            b = b.net(Arc::clone(net));
+        }
+        b.connect(addr, "now", role).unwrap()
+    };
+    let mut sub = connect(Role::Subscriber);
+    sub.subscribe().unwrap();
+    let mut producer = connect(Role::Producer);
+    for round in 0..3 {
+        // Alternate above/below so every phase flips the threshold.
+        let v = if round % 2 == 0 { 1000.0 } else { -1000.0 };
+        producer.push_batch(0, &[Value::Float(v)]).unwrap();
+        let sealed = Instant::now();
+        producer.seal().unwrap();
+        let alarms = sub.next_alarms().unwrap();
+        let took = sealed.elapsed();
+        assert_eq!(alarms.len(), 1);
+        assert_eq!(alarms[0].phase, round + 1);
+        assert!(
+            took < Duration::from_secs(1),
+            "alarm {round} took {took:?} with every timer at 30 s+"
+        );
+    }
+    assert_eq!(server.stats().pings, 0);
+    drop((sub, producer));
+    server.shutdown();
+}
+
+#[test]
+fn alarm_arrives_without_a_timer_on_real_net() {
+    alarm_arrives_without_a_timer(None);
+}
+
+#[test]
+fn alarm_arrives_without_a_timer_on_a_faultless_fault_net() {
+    alarm_arrives_without_a_timer(Some(FaultNet::new(NetFaultPlan::new()).handle()));
+}
+
+/// `drain()` called the instant the final epoch has been sealed: the
+/// subscriber's `Goodbye` must come after the last `AlarmBatch`, every
+/// time. (Retirement, delivery and the socket write are three threads
+/// behind the seal's ack; drain waits for each rather than sleeping.)
+/// `EC_DRAIN_ITERS` raises the iteration count — CI runs 200 in
+/// release.
+#[test]
+fn drain_goodbye_never_beats_the_last_alarm_batch() {
+    let iters: usize = std::env::var("EC_DRAIN_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(25);
+    for iter in 0..iters {
+        let pool = SessionPool::builder().threads(2).max_sessions(1).build();
+        let sessions = vec![pool.open("last".to_string(), tenant_builder()).unwrap()];
+        let server = WireServer::builder()
+            .ping_interval(Duration::from_secs(30))
+            .idle_timeout(Duration::from_secs(90))
+            .bind("127.0.0.1:0", pool, sessions)
+            .unwrap();
+        let addr = server.local_addr();
+        let mut sub = WireClient::connect(addr, "", "last", Role::Subscriber).unwrap();
+        sub.subscribe().unwrap();
+        let collector = std::thread::spawn(move || {
+            let mut alarms = Vec::new();
+            loop {
+                match sub.next_alarms() {
+                    Ok(batch) => alarms.extend(batch),
+                    Err(WireError::Closed(_)) => return alarms,
+                    Err(e) => panic!("iteration {iter}: no goodbye: {e}"),
+                }
+            }
+        });
+        let mut producer = WireClient::connect(addr, "", "last", Role::Producer).unwrap();
+        // avg(3) of 20,0,20,… crosses the threshold every phase: one
+        // alarm per event.
+        let values: Vec<Value> = (0..6)
+            .map(|i| Value::Float(if i % 2 == 0 { 20.0 } else { 0.0 }))
+            .collect();
+        producer.push_batch(0, &values).unwrap();
+        producer.seal().unwrap();
+        drop(producer);
+        let reports = server.drain();
+        let alarms = collector.join().unwrap();
+        assert_eq!(
+            alarms.iter().map(|a| a.phase).collect::<Vec<_>>(),
+            (1..=6).collect::<Vec<u64>>(),
+            "iteration {iter}: goodbye overtook the alarm stream"
+        );
+        for (name, report) in reports {
+            report.unwrap_or_else(|e| panic!("{name} closes cleanly: {e}"));
+        }
+    }
+}
+
+/// Batch publishing keeps the delivery contract. Two sinks, frames
+/// capped at three alarms so they straddle delivery batches: two wire
+/// subscribers and an in-process per-emission `subscribe` callback
+/// (registered beside the server's batch hook) all see one sequence,
+/// in serial (phase, vertex) order.
+#[test]
+fn shared_batches_reach_every_subscriber_in_serial_order() {
+    let pool = SessionPool::builder().threads(2).max_sessions(1).build();
+    let builder = {
+        let mut b = StreamRuntime::builder();
+        let s1 = b.live_source("s1");
+        b.add("fast", MovingAverage::new(2), &[s1]);
+        b.add("slow", MovingAverage::new(5), &[s1]);
+        b
+    };
+    let sessions = vec![pool.open("pair", builder).unwrap()];
+    let server = WireServer::builder()
+        .alarm_batch(3)
+        .bind("127.0.0.1:0", pool, sessions)
+        .unwrap();
+    let addr = server.local_addr();
+
+    let inproc: Arc<Mutex<Vec<WireAlarm>>> = Arc::new(Mutex::new(Vec::new()));
+    {
+        let seen = Arc::clone(&inproc);
+        server.tenant("pair").unwrap().subscribe(move |e| {
+            seen.lock().unwrap().push(WireAlarm {
+                phase: e.phase,
+                sink: Arc::clone(&e.name),
+                value: e.value.clone(),
+            })
+        });
+    }
+    const PHASES: u64 = 400;
+    let subscribers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut sub = WireClient::connect(addr, "", "pair", Role::Subscriber).unwrap();
+            sub.subscribe().unwrap();
+            std::thread::spawn(move || {
+                let mut got: Vec<WireAlarm> = Vec::new();
+                while got.len() < 2 * PHASES as usize {
+                    let frame = sub.next_alarms().unwrap();
+                    assert!(frame.len() <= 3, "alarm_batch caps a frame");
+                    got.extend(frame);
+                }
+                got
+            })
+        })
+        .collect();
+
+    let mut producer = WireClient::connect(addr, "", "pair", Role::Producer).unwrap();
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut pushed = 0;
+    while pushed < PHASES {
+        let n = rng.gen_range(1u64..9).min(PHASES - pushed);
+        let batch: Vec<Value> = (0..n)
+            .map(|_| Value::Float(rng.gen_range(-50i64..50) as f64))
+            .collect();
+        producer.push_batch(0, &batch).unwrap();
+        producer.seal().unwrap();
+        pushed += n;
+    }
+
+    let streams: Vec<Vec<WireAlarm>> = subscribers.into_iter().map(|s| s.join().unwrap()).collect();
+    let order: Vec<(u64, &str)> = streams[0].iter().map(|a| (a.phase, &*a.sink)).collect();
+    let serial: Vec<(u64, &str)> = (1..=PHASES)
+        .flat_map(|p| [(p, "fast"), (p, "slow")])
+        .collect();
+    assert_eq!(order, serial, "serial (phase, vertex) order");
+    assert_eq!(streams[0], streams[1], "subscribers share one stream");
+    {
+        let pair = server.tenant("pair").unwrap();
+        pair.wait_idle().unwrap();
+        pair.wait_delivered();
+    }
+    assert_eq!(
+        streams[0],
+        *inproc.lock().unwrap(),
+        "per-emission callbacks see what the batch hook sees"
+    );
+    drop(producer);
+    server.shutdown();
 }

@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Pool size under test (CI sweeps 2/4/8).
@@ -299,6 +299,46 @@ fn tenant_failure_is_isolated() {
     healthy.wait_idle().unwrap();
     let report = healthy.close().unwrap();
     assert_eq!(report.phases, 20);
+    let oracle = oracle_history(&report.script);
+    assert_eq!(oracle.equivalent(&report.history.unwrap()), Ok(()));
+}
+
+/// A batch subscriber and a per-emission subscriber on one session see
+/// one sequence: the batches, concatenated, are exactly the emissions
+/// the per-emission callback got one by one — serial order, nothing
+/// dropped or repeated at a batch boundary — and `wait_delivered`
+/// returns only once both have them all.
+#[test]
+fn batch_subscribers_see_the_per_emission_sequence() {
+    let pool = SessionPool::new(pool_threads(), 1);
+    let session = pool.open("both", tenant_builder()).unwrap();
+    let each = Arc::new(Mutex::new(Vec::new()));
+    let batched = Arc::new(Mutex::new(Vec::new()));
+    {
+        let each = Arc::clone(&each);
+        session.subscribe(move |e| each.lock().unwrap().push(e.clone()));
+        let batched = Arc::clone(&batched);
+        session.subscribe_batches(move |batch| {
+            assert!(!batch.is_empty(), "an empty drain is not delivered");
+            batched.lock().unwrap().push(batch.to_vec());
+        });
+    }
+    let mut rng = SmallRng::seed_from_u64(5);
+    apply_ops(&session, &random_ops(&mut rng, 600));
+    session.flush().unwrap();
+    session.wait_idle().unwrap();
+    session.wait_delivered();
+
+    let each = each.lock().unwrap();
+    let batched = batched.lock().unwrap();
+    assert!(!each.is_empty(), "the workload crosses the threshold");
+    assert_eq!(batched.concat(), *each);
+    assert!(
+        each.windows(2).all(|w| w[0].phase < w[1].phase),
+        "one sink: phases strictly increase"
+    );
+    drop((each, batched));
+    let report = session.close().unwrap();
     let oracle = oracle_history(&report.script);
     assert_eq!(oracle.equivalent(&report.history.unwrap()), Ok(()));
 }

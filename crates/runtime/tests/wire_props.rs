@@ -79,7 +79,7 @@ fn frame_from(kind: u8, seq: u64, idx: u32, text: &str, cells: &[(u8, i64, f64)]
                 .iter()
                 .map(|&(t, n, f)| WireAlarm {
                     phase: n.unsigned_abs(),
-                    sink: format!("sink{t}"),
+                    sink: format!("sink{t}").into(),
                     value: value_from(t, n, f),
                 })
                 .collect(),

@@ -837,6 +837,7 @@ fn render_top(
         ("wal", "ec_wal_commit_seconds"),
         ("in-wait", "ec_ingest_wait_seconds"),
         ("e2e", "ec_e2e_seconds"),
+        ("wire-hop", "ec_wire_alarm_hop_seconds"),
     ] {
         let count = prom_sum(samples, &format!("{series}_count"));
         if count == 0.0 {
