@@ -17,17 +17,21 @@
 //!
 //! * [`Engine`] — the parallel executor: `k` computation threads
 //!   (Listing 1) + 1 environment thread (Listing 2) over the shared
-//!   partial/full/ready sets ([`engine`]).
+//!   partial/full/ready sets ([`engine`]). With `max_inflight(1)` it
+//!   runs §2's non-pipelined "one solution" (one phase at a time), the
+//!   baseline that pipelining is measured against.
+//! * [`LiveEngine`], [`EnginePool`] — the same core driven by a
+//!   caller-paced environment (streaming), alone or as one tenant of a
+//!   shared worker pool ([`live`], [`multi`]).
 //! * [`Sequential`] — the phase-at-a-time serial reference whose history
 //!   defines correctness ([`sequential`]).
-//! * [`BarrierParallel`] — the non-pipelined parallel baseline (§2's
-//!   "one solution"), for the ablation benchmarks ([`barrier`]).
+//! * [`Stepper`] — single-step scheduler driver for schedule
+//!   exploration ([`stepper`]).
+//! * [`ShardedQueue`] — the work-stealing form of §3.2's run queue
+//!   ([`shard`]).
 //! * [`densify`] — converts a module set into the paper's "obvious
 //!   solution" (emit everything every phase) for the message-rate
 //!   experiments ([`dense`]).
-//! * [`RunQueue`], [`WorkerPool`] — the concurrency substrate the
-//!   paper's prototype took from `java.util.concurrent` ([`queue`],
-//!   [`pool`]).
 //! * [`ExecutionHistory`] — per-vertex emission logs and the
 //!   serializability comparison ([`history`]).
 //! * [`Trace`] — Figure-3-style set-membership snapshots ([`trace`]).
@@ -54,10 +58,8 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod checkpoint;
 pub mod dense;
-pub mod distributed;
 pub mod engine;
 pub mod error;
 pub mod history;
@@ -65,8 +67,7 @@ pub mod live;
 pub mod metrics;
 pub mod module;
 pub mod multi;
-pub mod pool;
-pub mod queue;
+mod pool;
 pub mod sequential;
 pub mod shard;
 mod state;
@@ -75,10 +76,8 @@ pub mod trace;
 pub mod trace_dot;
 mod vertex;
 
-pub use barrier::BarrierParallel;
 pub use checkpoint::{EngineCheckpoint, VertexState};
 pub use dense::densify;
-pub use distributed::{DistributedSim, MachineStats};
 pub use engine::{Engine, EngineBuilder, RunReport};
 pub use error::EngineError;
 pub use history::{Divergence, ExecutionHistory, RecordedEmission, SinkRecord};
@@ -92,9 +91,7 @@ pub use module::{
     SourceModule, SumModule, Workload,
 };
 pub use multi::EnginePool;
-pub use pool::WorkerPool;
-pub use queue::{Dequeued, RunQueue};
 pub use sequential::Sequential;
-pub use shard::{QueueStats, ShardedQueue};
+pub use shard::{Dequeued, QueueStats, ShardedQueue};
 pub use stepper::{StepOutcome, Stepper};
 pub use trace::{SetMembership, SetSnapshot, Trace, TraceEvent, TraceStep};

@@ -413,7 +413,6 @@ impl LiveEngine {
             phases: completed,
             metrics: self.shared.metrics_snapshot(),
             history,
-            trace: None,
         })
     }
 }

@@ -9,14 +9,14 @@
 use std::thread::{self, JoinHandle};
 
 /// A set of named worker threads.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawns `count` threads named `"{name}-{i}"`, each running
     /// `body(i)`.
-    pub fn spawn<F>(name: &str, count: usize, body: F) -> WorkerPool
+    pub(crate) fn spawn<F>(name: &str, count: usize, body: F) -> WorkerPool
     where
         F: Fn(usize) + Send + Sync + Clone + 'static,
     {
@@ -32,19 +32,9 @@ impl WorkerPool {
         WorkerPool { handles }
     }
 
-    /// Number of threads in the pool.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// True if the pool has no threads.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// Joins all threads. Returns the panic payloads (as strings) of any
     /// workers that panicked.
-    pub fn join(self) -> Vec<String> {
+    pub(crate) fn join(self) -> Vec<String> {
         let mut panics = Vec::new();
         for h in self.handles {
             if let Err(payload) = h.join() {
@@ -56,7 +46,7 @@ impl WorkerPool {
 }
 
 /// Best-effort extraction of a panic message.
-pub fn payload_to_string(payload: &Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn payload_to_string(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -79,7 +69,6 @@ mod tests {
         let pool = WorkerPool::spawn("t", 4, move |_| {
             c.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(pool.len(), 4);
         assert!(pool.join().is_empty());
         assert_eq!(counter.load(Ordering::SeqCst), 4);
     }
@@ -112,7 +101,7 @@ mod tests {
     #[test]
     fn empty_pool() {
         let pool = WorkerPool::spawn("none", 0, |_| {});
-        assert!(pool.is_empty());
+        assert!(pool.handles.is_empty());
         assert!(pool.join().is_empty());
     }
 }

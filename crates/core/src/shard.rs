@@ -1,9 +1,9 @@
 //! The sharded work-stealing run queue.
 //!
-//! [`RunQueue`](crate::queue::RunQueue) is the paper's §3.2 primitive: one
-//! mutex, one condvar, every worker contending on both for every task.
-//! That is faithful, but it serializes the hot path — each enqueue takes
-//! the global queue lock and signals a condvar shared by every parked
+//! The paper's §3.2 run queue is one blocking FIFO: one mutex, one
+//! condvar, every worker contending on both for every task. That is
+//! faithful, but it serializes the hot path — each enqueue takes the
+//! global queue lock and signals a condvar shared by every parked
 //! worker, so a burst of admissions stampedes the whole pool.
 //!
 //! [`ShardedQueue`] keeps the same contract (each item dequeued exactly
@@ -49,7 +49,14 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
-pub use crate::queue::Dequeued;
+/// Result of a blocking dequeue.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Dequeued<T> {
+    /// An item was removed from the queue.
+    Item(T),
+    /// The queue was closed and fully drained; the worker should exit.
+    Closed,
+}
 
 /// Batch items a weight-1 lane contributes per refill visit. A lane of
 /// weight `w` contributes up to `w * LANE_QUANTUM` (capped at
@@ -728,7 +735,7 @@ mod tests {
     fn close_while_stealing_delivers_backlog_exactly_once() {
         // `close` races a pool that is mid-steal: every enqueued item
         // must still be delivered exactly once before Closed surfaces —
-        // RunQueue::close semantics, under the sharded design.
+        // the §3.2 queue's close semantics, under the sharded design.
         const ROUNDS: usize = 50;
         const ITEMS: usize = 500;
         const WORKERS: usize = 4;

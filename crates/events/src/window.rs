@@ -215,24 +215,32 @@ impl SlidingWindow {
         self.sum_sq = 0.0;
     }
 
-    /// Serializes the window contents (not the capacity — that is
-    /// configuration, re-established by whoever rebuilds the owner).
+    /// Serializes the window contents and the two running sums (not the
+    /// capacity — that is configuration, re-established by whoever
+    /// rebuilds the owner).
     pub fn snapshot_into(&self, w: &mut StateWriter) {
         w.put_u32(self.ring.len() as u32);
         for x in self.iter() {
             w.put_f64(x);
         }
+        w.put_f64(self.sum);
+        w.put_f64(self.sum_sq);
     }
 
     /// Restores contents captured by
-    /// [`snapshot_into`](Self::snapshot_into), re-pushing each sample so
-    /// the running sums are rebuilt from scratch.
+    /// [`snapshot_into`](Self::snapshot_into). The running sums are
+    /// restored verbatim rather than rebuilt: they carry the rounding of
+    /// every sample that ever passed through the window, so re-summing
+    /// the survivors would differ in the last bits for non-dyadic
+    /// samples and the restored instance would drift from the live one.
     pub fn restore_from(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let n = r.get_u32()? as usize;
-        self.clear();
+        self.ring.clear();
         for _ in 0..n {
-            self.push(r.get_f64()?);
+            self.ring.push(r.get_f64()?);
         }
+        self.sum = r.get_f64()?;
+        self.sum_sq = r.get_f64()?;
         Ok(())
     }
 }

@@ -7,9 +7,7 @@
 //! vertices to the new one — which also makes the graph acyclic by
 //! construction.
 
-use ec_core::{
-    BarrierParallel, Engine, EngineBuilder, EngineError, Module, Sequential, SourceModule,
-};
+use ec_core::{Engine, EngineBuilder, EngineError, Module, Sequential, SourceModule};
 use ec_events::{EventSource, FeedWriter, LiveFeed};
 use ec_graph::{Dag, VertexId};
 
@@ -131,11 +129,6 @@ impl CorrelatorBuilder {
     /// Finishes into the sequential reference executor.
     pub fn sequential(self) -> Result<Sequential, EngineError> {
         Sequential::new(&self.dag, self.modules)
-    }
-
-    /// Finishes into the phase-barrier baseline executor.
-    pub fn barrier(self, threads: usize) -> Result<BarrierParallel, EngineError> {
-        BarrierParallel::new(&self.dag, self.modules, threads)
     }
 
     /// Deconstructs into the raw graph and modules (for the spec layer

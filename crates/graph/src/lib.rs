@@ -46,11 +46,9 @@ pub mod dot;
 pub mod error;
 pub mod generators;
 pub mod numbering;
-pub mod partition;
 pub mod topology;
 
 pub use dag::{Dag, EdgeId, VertexId};
 pub use error::GraphError;
 pub use numbering::{Numbering, NumberingError};
-pub use partition::{partition_balanced, partition_min_cut, Partition, PartitionQuality};
 pub use topology::Topology;

@@ -1,5 +1,5 @@
-//! A blocking client for the `ec serve` wire protocol — the loadgen
-//! (`ec-bench`), the `ec push` CLI, the examples, and the test battery
+//! A blocking client for the `ec serve` wire protocol — the benchmark
+//! (`perfbench/`), the `ec push` CLI, the examples, and the test battery
 //! all speak through this one implementation.
 //!
 //! ## Robustness

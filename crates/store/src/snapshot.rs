@@ -33,7 +33,10 @@ use std::sync::Arc;
 
 const SNAP_MAGIC: &[u8; 8] = b"ECSNAP1\0";
 const DELTA_MAGIC: &[u8; 8] = b"ECSNPD1\0";
-const SNAP_VERSION: u32 = 1;
+/// Bumped whenever an operator's state encoding changes, so a file
+/// written by older code is refused instead of mis-decoded. Version 2:
+/// sliding windows carry their running sums.
+const SNAP_VERSION: u32 = 2;
 
 /// Path of the full snapshot taken at `phase` inside `dir`. Phases are
 /// zero-padded so lexicographic directory order is phase order.
@@ -541,6 +544,23 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         assert!(read_snapshot(&path).is_err());
+    }
+
+    #[test]
+    fn older_snapshot_version_refused() {
+        let dir = test_dir("snap-old-version");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = write_snapshot(&dir, &["a".into()], &checkpoint(3)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // Re-frame the same payload as version 1, with a valid CRC.
+        let mut payload = bytes[16..].to_vec();
+        payload[..4].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, frame_file(SNAP_MAGIC, &payload)).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported snapshot version 1"),
+            "{err}"
+        );
     }
 
     #[test]

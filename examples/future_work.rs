@@ -1,72 +1,18 @@
-//! The paper's §6 future work, implemented: multi-machine partitioning
-//! and imperfect timestamps.
-//!
-//! Part 1 — "methods for partitioning the computation graph across
-//! multiple machines": partition a fusion graph onto simulated
-//! machines, compare the network traffic of a balanced split against a
-//! cut-minimising split, and verify both stay serializable.
-//!
-//! Part 2 — "clocks in sensors are noisy and message delays may be
-//! significant and random. The fusion engine must wait long enough
-//! after time t": push randomly delayed events through a watermark
-//! reorder buffer at several wait settings and report the
-//! false-negative (late event) rate for each.
+//! The paper's §6 future work on imperfect timestamps: "clocks in
+//! sensors are noisy and message delays may be significant and random.
+//! The fusion engine must wait long enough after time t". Push randomly
+//! delayed events through a watermark reorder buffer at several wait
+//! settings and report the false-negative (late event) rate for each.
 //!
 //! ```sh
 //! cargo run --example future_work
 //! ```
 
-use event_correlation::core::{DistributedSim, Module, PassThrough, Sequential, SourceModule};
 use event_correlation::events::reorder::{DelayModel, ReorderBuffer};
-use event_correlation::events::sources::Counter;
 use event_correlation::events::{Timestamp, Value};
-use event_correlation::fusion::operators::aggregate::Aggregate;
-use event_correlation::graph::{generators, partition_balanced, partition_min_cut, Numbering};
 
-fn modules(dag: &event_correlation::graph::Dag) -> Vec<Box<dyn Module>> {
-    dag.vertices()
-        .map(|v| -> Box<dyn Module> {
-            if dag.is_source(v) {
-                Box::new(SourceModule::new(Counter::new()))
-            } else if dag.is_sink(v) {
-                Box::new(PassThrough)
-            } else {
-                Box::new(Aggregate::sum())
-            }
-        })
-        .collect()
-}
-
-fn part1_partitioning() {
-    println!("== Part 1: partitioning across machines (§6) ==");
-    let dag = generators::layered(6, 4, 2, 99);
-    let numbering = Numbering::compute(&dag);
-
-    let mut oracle = Sequential::new(&dag, modules(&dag)).unwrap();
-    oracle.run(50).unwrap();
-    let oracle_history = oracle.into_history();
-
-    for (label, partition) in [
-        ("balanced ", partition_balanced(&dag, &numbering, 3)),
-        ("min-cut  ", partition_min_cut(&dag, &numbering, 3, 0.5)),
-    ] {
-        let quality = partition.quality(&dag);
-        let mut sim = DistributedSim::new(&dag, modules(&dag), &partition).unwrap();
-        sim.run(50).unwrap();
-        assert_eq!(oracle_history.equivalent(&sim.history()), Ok(()));
-        println!(
-            "  {label} 3 machines: edge cut {:>2}, imbalance {:.2}, \
-             remote messages {:>4}, local {:>4}  (serializable ✓)",
-            quality.edge_cut,
-            quality.imbalance,
-            sim.remote_messages(),
-            sim.local_messages()
-        );
-    }
-}
-
-fn part2_watermarks() {
-    println!("\n== Part 2: noisy delivery and watermarks (§6) ==");
+fn main() {
+    println!("== Noisy delivery and watermarks (§6) ==");
     // Sensors report every 100 µs; network delay is uniform 0–500 µs.
     // Sweep the engine's wait and measure the late-event rate.
     for wait in [100u64, 250, 500, 750] {
@@ -90,9 +36,4 @@ fn part2_watermarks() {
     }
     println!("  → waiting past the maximum delay eliminates late events;");
     println!("    shorter waits trade correctness for latency, as §6 anticipates.");
-}
-
-fn main() {
-    part1_partitioning();
-    part2_watermarks();
 }

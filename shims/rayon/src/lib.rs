@@ -3,8 +3,9 @@
 //! Implements the subset this workspace uses — `ThreadPoolBuilder`,
 //! `ThreadPool::install`, and `vec.into_par_iter().map(f).collect()` —
 //! with `std::thread::scope` fan-out. Work is split into one contiguous
-//! chunk per worker; results are returned in input order, which is the
-//! property `BarrierParallel` relies on for deterministic histories.
+//! chunk per worker; results are returned in input order. No crate in
+//! the workspace calls it any more; it remains a dependency of `ec-core`
+//! only so the benchmark package's lock file stays as it is.
 
 use std::cell::Cell;
 use std::fmt;

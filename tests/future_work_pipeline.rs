@@ -1,17 +1,14 @@
-//! End-to-end test of the §6 extensions working *together with* the
-//! engine: noisy delivery → watermark reorder buffer → phases → the
-//! parallel engine, compared against feeding the engine the ground
-//! truth directly; plus partitioned execution against the engine.
+//! End-to-end test of the §6 timestamp extension working *together
+//! with* the engine: noisy delivery → watermark reorder buffer → phases
+//! → the parallel engine, compared against feeding the engine the ground
+//! truth directly.
 
-use event_correlation::core::{
-    DistributedSim, Engine, Module, PassThrough, Sequential, SourceModule,
-};
+use event_correlation::core::{Engine, Module, Sequential, SourceModule};
 use event_correlation::events::reorder::{DelayModel, ReorderBuffer};
 use event_correlation::events::sources::Replay;
 use event_correlation::events::{Timestamp, Value};
-use event_correlation::fusion::operators::aggregate::Aggregate;
 use event_correlation::fusion::operators::moving::MovingAverage;
-use event_correlation::graph::{generators, partition_min_cut, Dag, Numbering};
+use event_correlation::graph::Dag;
 
 /// Builds the ground-truth per-phase values of one sensor.
 fn sensor_truth(n: usize, seed: u64) -> Vec<f64> {
@@ -86,43 +83,4 @@ fn reordered_delivery_feeds_engine_correctly() {
         Ok(()),
         "delayed-but-reordered delivery must be invisible to the computation"
     );
-}
-
-#[test]
-fn partitioned_execution_matches_parallel_engine() {
-    let dag = generators::layered(5, 4, 2, 55);
-    let numbering = Numbering::compute(&dag);
-    let make = || -> Vec<Box<dyn Module>> {
-        dag.vertices()
-            .map(|v| -> Box<dyn Module> {
-                if dag.is_source(v) {
-                    Box::new(SourceModule::new(
-                        event_correlation::events::sources::Counter::new(),
-                    ))
-                } else if dag.is_sink(v) {
-                    Box::new(PassThrough)
-                } else {
-                    Box::new(Aggregate::sum())
-                }
-            })
-            .collect()
-    };
-
-    let mut engine = Engine::builder(dag.clone(), make())
-        .threads(4)
-        .check_invariants(true)
-        .build()
-        .unwrap();
-    let parallel = engine.run(30).unwrap().history.unwrap();
-
-    let partition = partition_min_cut(&dag, &numbering, 3, 0.5);
-    let mut sim = DistributedSim::new(&dag, make(), &partition).unwrap();
-    sim.run(30).unwrap();
-
-    assert_eq!(parallel.equivalent(&sim.history()), Ok(()));
-    // Sanity on the accounting: some messages crossed machines, and the
-    // per-machine execution counts cover every vertex-phase pair.
-    assert!(sim.remote_messages() > 0);
-    let total_exec: u64 = sim.stats().iter().map(|s| s.executions).sum();
-    assert_eq!(total_exec, 30 * dag.vertex_count() as u64);
 }
