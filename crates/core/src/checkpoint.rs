@@ -11,8 +11,9 @@
 //!
 //! Checkpoints are only meaningful at *retired* boundaries (every
 //! admitted phase completed): mid-flight state would capture a
-//! non-serializable cut. [`LiveEngine::checkpoint_vertices`]
-//! (crate::LiveEngine::checkpoint_vertices) enforces this.
+//! non-serializable cut.
+//! [`LiveEngine::checkpoint_vertices`](crate::LiveEngine::checkpoint_vertices)
+//! enforces this.
 
 use ec_events::{SnapshotError, StateReader, StateSnapshot, StateWriter, Value};
 use ec_graph::VertexId;

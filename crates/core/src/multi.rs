@@ -4,7 +4,7 @@
 //! correlation graph. At production scale a machine hosts *many*
 //! independent graphs (tenants), and giving each its own pool
 //! oversubscribes the cores while leaving most pools idle.
-//! [`EnginePool`] is the shared substrate: one [`WorkerPool`] draining
+//! [`EnginePool`] is the shared substrate: one worker pool draining
 //! one [`ShardedQueue`] whose tasks are tagged with the tenant that
 //! admitted them, dispatched to that tenant's scheduler state.
 //!
@@ -328,7 +328,7 @@ impl Drop for PoolMembership {
 
 /// A shared worker pool serving many independent engines (tenants).
 ///
-/// One [`WorkerPool`] drains one [`ShardedQueue`]; every tenant gets
+/// One worker pool drains one [`ShardedQueue`]; every tenant gets
 /// its own admission lane (weighted round-robin refill) and in-flight
 /// cap, so tenants make fair, independent progress — one saturating
 /// tenant cannot starve a trickle tenant, and one failing tenant

@@ -21,7 +21,7 @@
 //!   model.
 //! * [`snapshot`] — the [`StateSnapshot`] capability and byte codec
 //!   behind checkpoint/restore (`ec-store`).
-//! * [`column`] — pooled, `Arc`-shared per-source epoch columns: the
+//! * [`column`](mod@column) — pooled, `Arc`-shared per-source epoch columns: the
 //!   zero-copy unit the streaming runtime seals and fans out to the
 //!   WAL, the live feeds and the committed script.
 

@@ -124,7 +124,8 @@ impl Ring {
     }
 }
 
-/// Per-lane rings of [`SpanEvent`]s. See the [module docs](self).
+/// Per-lane rings of [`SpanEvent`]s: lane 0 is the control plane, lanes
+/// `1..` belong to workers, and a full ring overwrites its oldest entry.
 #[derive(Debug)]
 pub struct FlightRecorder {
     epoch: Instant,

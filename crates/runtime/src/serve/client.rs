@@ -55,22 +55,12 @@ impl Default for RetryPolicy {
     }
 }
 
-/// splitmix64 step — the same generator `FaultPlan`/`NetFaultPlan`
-/// use, good enough for backoff jitter.
-fn splitmix(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn backoff(policy: &RetryPolicy, attempt: u32, rng: &mut u64) -> Duration {
     if attempt == 0 {
         return Duration::ZERO;
     }
     let exp = policy.base.saturating_mul(1u32 << (attempt - 1).min(16));
-    let jitter = 0.5 + (splitmix(rng) % 1024) as f64 / 1024.0;
+    let jitter = 0.5 + (ec_store::splitmix64(rng) % 1024) as f64 / 1024.0;
     exp.min(policy.cap).mul_f64(jitter)
 }
 
@@ -94,8 +84,7 @@ fn deadline_error() -> WireError {
 }
 
 /// Connects one socket and completes the handshake. Returns the
-/// connection, the server's wire version, and the confirmed tenant +
-/// source list.
+/// connection and the confirmed tenant + source list.
 #[allow(clippy::type_complexity)]
 fn dial_once(
     net: &dyn NetIo,
@@ -105,7 +94,7 @@ fn dial_once(
     role: Role,
     session: Option<&str>,
     timeout: Option<Duration>,
-) -> Result<(Box<dyn NetConn>, u32, String, Vec<String>), WireError> {
+) -> Result<(Box<dyn NetConn>, String, Vec<String>), WireError> {
     let mut conn = net.connect(addr)?;
     let _ = conn.set_read_timeout(timeout);
     let _ = conn.set_write_timeout(timeout);
@@ -128,9 +117,9 @@ fn dial_once(
     wire::write_frame(&mut opening, &hello)?;
     conn.write_all(&opening).map_err(WireError::Io)?;
     conn.flush().map_err(WireError::Io)?;
-    let server_version = wire::read_preamble(&mut conn)?;
+    wire::read_preamble(&mut conn)?;
     match wire::read_frame(&mut conn)? {
-        Frame::HelloOk { tenant, sources } => Ok((conn, server_version, tenant, sources)),
+        Frame::HelloOk { tenant, sources } => Ok((conn, tenant, sources)),
         Frame::Error { reason } => Err(WireError::Refused(reason)),
         Frame::Abort { reason } => Err(abort_error(reason)),
         _ => Err(WireError::Unexpected("expected HelloOk or Error")),
@@ -228,7 +217,7 @@ impl WireClientBuilder {
         let mut rng = self.retry.as_ref().map_or(0, |p| p.seed);
         let handshake_timeout = self.retry.as_ref().map(|_| self.op_deadline);
         let mut attempt = 0;
-        let (conn, server_version, tenant_ok, sources) = loop {
+        let (conn, tenant_ok, sources) = loop {
             match dial_once(
                 self.net.as_ref(),
                 &addr,
@@ -264,7 +253,6 @@ impl WireClientBuilder {
             retry: self.retry,
             op_deadline: self.op_deadline,
             rng,
-            server_version,
             tenant: tenant_ok,
             sources,
             next_seq: 0,
@@ -303,7 +291,6 @@ pub struct WireClient {
     retry: Option<RetryPolicy>,
     op_deadline: Duration,
     rng: u64,
-    server_version: u32,
     tenant: String,
     sources: Vec<String>,
     next_seq: u64,
@@ -383,11 +370,6 @@ impl WireClient {
     /// Successful reconnects performed so far.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
-    }
-
-    /// The server's negotiated wire version.
-    pub fn server_version(&self) -> u32 {
-        self.server_version
     }
 
     /// Pushes a batch of events for one source and waits for the ack.
@@ -620,7 +602,7 @@ impl WireClient {
                 self.session.as_deref(),
                 Some(self.op_deadline),
             );
-            let (conn, version, tenant, sources) = match dialed {
+            let (conn, tenant, sources) = match dialed {
                 Ok(d) => d,
                 Err(e @ (WireError::Refused(_) | WireError::Closed(_))) => return Err(e),
                 Err(e) => {
@@ -630,7 +612,6 @@ impl WireClient {
             };
             self.conn = conn;
             self.fr = wire::FrameReader::new();
-            self.server_version = version;
             self.tenant = tenant;
             self.sources = sources;
             self.steady_state_timeouts();
@@ -691,18 +672,15 @@ impl WireClient {
 
 impl Drop for WireClient {
     /// Says goodbye before closing so the server counts a clean close,
-    /// not a crash. v1 servers don't know the frame; they just see the
-    /// FIN.
+    /// not a crash.
     fn drop(&mut self) {
         if !self.closed {
-            if self.server_version >= 2 {
-                let _ = wire::write_frame(
-                    &mut self.conn,
-                    &Frame::Goodbye {
-                        reason: "client closing".into(),
-                    },
-                );
-            }
+            let _ = wire::write_frame(
+                &mut self.conn,
+                &Frame::Goodbye {
+                    reason: "client closing".into(),
+                },
+            );
             let _ = self.conn.shutdown_both();
         }
     }

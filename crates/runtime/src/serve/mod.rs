@@ -734,7 +734,7 @@ impl WireServerBuilder {
         self
     }
 
-    /// How often an idle (or flow-blocked) v2 peer is pinged; also the
+    /// How often an idle (or flow-blocked) peer is pinged; also the
     /// read-deadline granularity of the connection loops (default 5s).
     pub fn ping_interval(mut self, d: Duration) -> Self {
         self.ping_interval = d.max(Duration::from_millis(1));
@@ -1149,15 +1149,10 @@ fn refuse(ctx: &ServerCtx, w: &mut impl Write, reason: String) {
 }
 
 /// Drops a connection the server can no longer trust (corrupt framing,
-/// missed liveness deadline) without refusing anything: v2 peers get a
-/// best-effort [`Frame::Abort`] telling them a resume is safe, v1
-/// peers (which predate `Abort`) get the legacy `Error`.
-fn abort(ctx: &ServerCtx, w: &mut impl Write, peer_version: u32, reason: String) {
-    if peer_version >= 2 {
-        send(ctx, w, &Frame::Abort { reason });
-    } else {
-        send(ctx, w, &Frame::Error { reason });
-    }
+/// missed liveness deadline) without refusing anything: the peer gets a
+/// best-effort [`Frame::Abort`] telling it a resume is safe.
+fn abort(ctx: &ServerCtx, w: &mut impl Write, reason: String) {
+    send(ctx, w, &Frame::Abort { reason });
 }
 
 fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
@@ -1175,13 +1170,10 @@ fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
     if wire::write_preamble(&mut writer).is_err() || writer.flush().is_err() {
         return;
     }
-    let peer_version = match preamble {
-        Ok(v) => v,
-        Err(e) => {
-            refuse(&ctx, &mut writer, e.to_string());
-            return;
-        }
-    };
+    if let Err(e) = preamble {
+        refuse(&ctx, &mut writer, e.to_string());
+        return;
+    }
     let hello = match wire::read_frame(&mut reader) {
         Ok(f) => f,
         Err(e) => {
@@ -1244,11 +1236,11 @@ fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
     match role {
         Role::Producer => {
             let _open = OpenGuard::new(&ctx, &ctx.stats.producers_open);
-            producer_loop(&ctx, &t, &mut reader, &mut writer, peer_version, session);
+            producer_loop(&ctx, &t, &mut reader, &mut writer, session);
         }
         Role::Subscriber => {
             let _open = OpenGuard::new(&ctx, &ctx.stats.subscribers_open);
-            subscriber_conn(&ctx, &t, reader, writer, peer_version);
+            subscriber_conn(&ctx, &t, reader, writer);
         }
     }
 }
@@ -1258,7 +1250,6 @@ fn producer_loop(
     t: &Tenant,
     reader: &mut Box<dyn NetConn>,
     writer: &mut Box<dyn NetConn>,
-    peer_version: u32,
     session: Option<Arc<ProducerSession>>,
 ) {
     let mut fr = wire::FrameReader::new();
@@ -1276,15 +1267,13 @@ fn producer_loop(
             return;
         }
         if ctx.draining.load(Relaxed) && !fr.mid_frame() {
-            if peer_version >= 2 {
-                send(
-                    ctx,
-                    writer,
-                    &Frame::Goodbye {
-                        reason: "server draining".into(),
-                    },
-                );
-            }
+            send(
+                ctx,
+                writer,
+                &Frame::Goodbye {
+                    reason: "server draining".into(),
+                },
+            );
             return;
         }
         let frame = match fr.read_from(reader) {
@@ -1297,18 +1286,15 @@ fn producer_loop(
                     abort(
                         ctx,
                         writer,
-                        peer_version,
                         "idle deadline exceeded: reaping half-open producer".into(),
                     );
                     return;
                 }
-                if peer_version >= 2 {
-                    ping_nonce += 1;
-                    ctx.stats.pings.fetch_add(1, Relaxed);
-                    if !send(ctx, writer, &Frame::Ping { nonce: ping_nonce }) {
-                        ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                        return;
-                    }
+                ping_nonce += 1;
+                ctx.stats.pings.fetch_add(1, Relaxed);
+                if !send(ctx, writer, &Frame::Ping { nonce: ping_nonce }) {
+                    ctx.stats.crash_closes.fetch_add(1, Relaxed);
+                    return;
                 }
                 continue;
             }
@@ -1321,7 +1307,7 @@ fn producer_loop(
                 // replays, and dedup keeps the commit exactly-once.
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
+                    abort(ctx, writer, e.to_string());
                 }
                 return;
             }
@@ -1377,15 +1363,9 @@ fn producer_loop(
                             );
                             return;
                         }
-                        let Some(accepted) = apply_batch(
-                            ctx,
-                            writer,
-                            &mut conn_ok,
-                            handle,
-                            source,
-                            bins,
-                            peer_version,
-                        ) else {
+                        let Some(accepted) =
+                            apply_batch(ctx, writer, &mut conn_ok, handle, source, bins)
+                        else {
                             // Terminal (tenant closed / stopping): the
                             // partial batch stays unrecorded — a replay
                             // meets the same terminal refusal, never a
@@ -1401,15 +1381,9 @@ fn producer_loop(
                         accepted
                     }
                     None => {
-                        let Some(accepted) = apply_batch(
-                            ctx,
-                            writer,
-                            &mut conn_ok,
-                            handle,
-                            source,
-                            bins,
-                            peer_version,
-                        ) else {
+                        let Some(accepted) =
+                            apply_batch(ctx, writer, &mut conn_ok, handle, source, bins)
+                        else {
                             return;
                         };
                         accepted
@@ -1499,12 +1473,11 @@ fn apply_batch(
     handle: &SourceHandle,
     source: u32,
     bins: Vec<Option<ec_events::Value>>,
-    peer_version: u32,
 ) -> Option<u32> {
     let mut accepted = 0u32;
     for bin in bins {
         let Some(v) = bin else { continue };
-        if !push_one(ctx, writer, conn_ok, handle, source, v, peer_version) {
+        if !push_one(ctx, writer, conn_ok, handle, source, v) {
             return None;
         }
         accepted += 1;
@@ -1525,7 +1498,6 @@ fn push_one(
     handle: &SourceHandle,
     source: u32,
     value: ec_events::Value,
-    peer_version: u32,
 ) -> bool {
     let mut blocked = false;
     let mut last_ping = Instant::now();
@@ -1576,7 +1548,7 @@ fn push_one(
                     }
                     return false;
                 }
-                if *conn_ok && peer_version >= 2 && last_ping.elapsed() >= ctx.ping_interval {
+                if *conn_ok && last_ping.elapsed() >= ctx.ping_interval {
                     last_ping = Instant::now();
                     ctx.stats.pings.fetch_add(1, Relaxed);
                     if !send(ctx, writer, &Frame::Ping { nonce: 0 }) {
@@ -1616,7 +1588,6 @@ fn subscriber_conn(
     t: &Tenant,
     mut reader: Box<dyn NetConn>,
     mut writer: Box<dyn NetConn>,
-    peer_version: u32,
 ) {
     let mut fr = wire::FrameReader::new();
     let started = Instant::now();
@@ -1648,7 +1619,6 @@ fn subscriber_conn(
                     abort(
                         ctx,
                         &mut writer,
-                        peer_version,
                         "idle deadline exceeded: reaping half-open subscriber".into(),
                     );
                     return;
@@ -1657,7 +1627,7 @@ fn subscriber_conn(
             Err(e) => {
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, &mut writer, peer_version, e.to_string());
+                    abort(ctx, &mut writer, e.to_string());
                 }
                 return;
             }
@@ -1673,12 +1643,12 @@ fn subscriber_conn(
             let spawned = std::thread::Builder::new()
                 .name("ec-wire-sub-writer".into())
                 .spawn_scoped(halves, || {
-                    subscriber_writer(ctx, t, id, &out, peer_version);
+                    subscriber_writer(ctx, t, id, &out);
                     // Unblocks the reader half's socket read.
                     let _ = out.lock().shutdown_both();
                 });
             if spawned.is_ok() {
-                subscriber_reader(ctx, t, id, &mut reader, fr, &out, peer_version);
+                subscriber_reader(ctx, t, id, &mut reader, fr, &out);
             }
             // Unblocks the writer half, whether it waits on the hub or
             // is stuck in a socket write.
@@ -1704,7 +1674,7 @@ fn close_counting(t: &Tenant, id: u64, counter: &AtomicU64) -> bool {
 /// moment its slot holds alarms — whatever accumulated while the
 /// previous write was in flight goes out as one frame, capped by
 /// `alarm_batch`.
-fn subscriber_writer(ctx: &ServerCtx, t: &Tenant, id: u64, out: &SharedWriter, peer_version: u32) {
+fn subscriber_writer(ctx: &ServerCtx, t: &Tenant, id: u64, out: &SharedWriter) {
     loop {
         match t.hub.next(id, ctx.alarm_batch) {
             Drained::Batch(chunks) => {
@@ -1729,7 +1699,7 @@ fn subscriber_writer(ctx: &ServerCtx, t: &Tenant, id: u64, out: &SharedWriter, p
                 ctx.stats.frames_out.fetch_add(1, Relaxed);
             }
             Drained::Complete => {
-                if t.hub.close(id) && peer_version >= 2 {
+                if t.hub.close(id) {
                     send(
                         ctx,
                         &mut *out.lock(),
@@ -1761,11 +1731,9 @@ fn subscriber_writer(ctx: &ServerCtx, t: &Tenant, id: u64, out: &SharedWriter, p
 }
 
 /// The reader half: blocks on the socket under the same deadlines as a
-/// producer connection — each `ping_interval` of silence pings a v2
+/// producer connection — each `ping_interval` of silence pings the
 /// peer, `idle_timeout` of it reaps the connection — and handles what a
-/// subscriber may send: `Ping`, `Pong`, `Goodbye`, or a close. (A v1
-/// peer cannot answer a ping, so it is neither pinged nor reaped; its
-/// death shows as a failed write.)
+/// subscriber may send: `Ping`, `Pong`, `Goodbye`, or a close.
 fn subscriber_reader(
     ctx: &ServerCtx,
     t: &Tenant,
@@ -1773,7 +1741,6 @@ fn subscriber_reader(
     reader: &mut Box<dyn NetConn>,
     mut fr: wire::FrameReader,
     out: &SharedWriter,
-    peer_version: u32,
 ) {
     let mut last_frame = Instant::now();
     let mut ping_nonce = 0u64;
@@ -1784,15 +1751,11 @@ fn subscriber_reader(
                 if t.hub.is_closed(id) {
                     return;
                 }
-                if peer_version < 2 {
-                    continue;
-                }
                 if last_frame.elapsed() >= ctx.idle_timeout {
                     if close_counting(t, id, &ctx.stats.reaped) {
                         abort(
                             ctx,
                             &mut *out.lock(),
-                            peer_version,
                             "idle deadline exceeded: reaping half-open subscriber".into(),
                         );
                     }
@@ -1808,7 +1771,7 @@ fn subscriber_reader(
             }
             Err(e) => {
                 if close_counting(t, id, &ctx.stats.crash_closes) && !e.is_disconnect() {
-                    abort(ctx, &mut *out.lock(), peer_version, e.to_string());
+                    abort(ctx, &mut *out.lock(), e.to_string());
                 }
                 return;
             }

@@ -193,13 +193,7 @@ impl NetFaultPlan {
     /// live connections at a random point. Same seed, same plan.
     pub fn seeded(seed: u64, horizon: u64) -> NetFaultPlan {
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || ec_store::splitmix64(&mut state);
         let mut plan = NetFaultPlan::new();
         for op in 0..horizon {
             if next() % 6 == 0 {
@@ -540,6 +534,16 @@ mod tests {
         let b = NetFaultPlan::seeded(42, 200);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.kill_at, b.kill_at);
+        // Pinned: recorded seeds must keep replaying the same plan.
+        assert_eq!(
+            format!("{:?} {:?}", a.faults, a.kill_at),
+            "[(1, Duplicate), (3, Delay(1)), (15, Reset), (41, BlackHole), (51, Reset), \
+             (53, Delay(3)), (63, Duplicate), (75, Reset), (78, BlackHole), (87, Reset), \
+             (98, Delay(2)), (120, Delay(3)), (122, Reset), (123, Reset), (128, Reset), \
+             (136, Reset), (140, Reset), (141, Reset), (149, Delay(1)), (150, Duplicate), \
+             (151, Delay(4)), (163, Delay(3)), (170, Delay(3)), (172, Reset), \
+             (188, Delay(2)), (195, Delay(4)), (196, Reset)] Some(40)"
+        );
         let c = NetFaultPlan::seeded(43, 200);
         assert!(a.faults != c.faults || a.kill_at != c.kill_at);
     }

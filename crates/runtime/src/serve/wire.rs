@@ -17,13 +17,14 @@
 //!
 //! Each connection opens with an 8-byte preamble — magic
 //! [`WIRE_MAGIC`] then [`WIRE_VERSION`], both u32 LE, sent by each
-//! side — so a stray HTTP client or an old peer is refused before any
-//! frame is parsed.
+//! side — so a stray HTTP client or a peer speaking any other version
+//! is refused before any frame is parsed.
 //!
 //! Every decode path returns a typed [`WireError`]; corrupt input
 //! (truncation, bit flips, oversized lengths, unknown tags, trailing
 //! bytes) must never panic and never misparse. `tests/wire_props.rs`
-//! holds the property suite and the pinned `wire_v1.bin` byte fixture.
+//! holds the property suite; `tests/wire_fixture.rs` pins every frame
+//! encoding against the committed `wire_v2.bin`.
 
 use ec_events::{SnapshotError, StateReader, StateWriter, Value};
 use std::io::{Read, Write};
@@ -32,18 +33,10 @@ use std::sync::Arc;
 /// Connection preamble magic: `"ECWP"` as a little-endian u32.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"ECWP");
 
-/// Protocol version spoken by this build. Version 2 added the liveness
-/// and resume frames (`Ping`/`Pong`/`HelloResume`/`Goodbye`) without
-/// changing any version-1 encoding, so version-1 peers are still
-/// accepted ([`MIN_WIRE_VERSION`]) — they just never receive the new
-/// frames. Bumping past a peer's version invalidates its fixture on
-/// purpose: the old format must keep decoding or the bump must be
-/// deliberate.
+/// The one protocol version this build speaks; a peer announcing any
+/// other is refused at the preamble. Bumping it invalidates
+/// `wire_v2.bin` on purpose: an encoding change must be deliberate.
 pub const WIRE_VERSION: u32 = 2;
-
-/// Oldest peer version still accepted. Every frame tag that existed at
-/// this version encodes identically today — `wire_v1.bin` pins that.
-pub const MIN_WIRE_VERSION: u32 = 1;
 
 /// Hard ceiling on a single frame's payload, applied on both encode
 /// and decode. A corrupt length prefix must not convince the peer to
@@ -101,11 +94,11 @@ pub struct WireAlarm {
 /// | 12 | `MetricsReply` | server → client | tenant metrics JSON |
 /// | 13 | `Shutdown` | client → server | — |
 /// | 14 | `ShutdownOk` | server → client | — |
-/// | 16 | `Ping` | either | nonce (v2+) |
-/// | 17 | `Pong` | either | echoed nonce (v2+) |
-/// | 18 | `HelloResume` | client → server | token, tenant, session id (v2+) |
-/// | 19 | `Goodbye` | either | reason, then clean close (v2+) |
-/// | 20 | `Abort` | server → client | reason, then close; retry safe (v2+) |
+/// | 16 | `Ping` | either | nonce |
+/// | 17 | `Pong` | either | echoed nonce |
+/// | 18 | `HelloResume` | client → server | token, tenant, session id |
+/// | 19 | `Goodbye` | either | reason, then clean close |
+/// | 20 | `Abort` | server → client | reason, then close; retry safe |
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Authenticate this connection to one tenant.
@@ -191,7 +184,7 @@ pub enum Frame {
     Shutdown,
     /// Shutdown acknowledged; the server stops accepting and closes.
     ShutdownOk,
-    /// Liveness probe (v2+). Either side may send one at any time; the
+    /// Liveness probe. Either side may send one at any time; the
     /// peer answers with a [`Pong`](Frame::Pong) echoing the nonce. The
     /// server pings idle and flow-blocked producers so a half-open peer
     /// is detected by deadline instead of wedging forever.
@@ -199,13 +192,13 @@ pub enum Frame {
         /// Opaque probe id, echoed back in the `Pong`.
         nonce: u64,
     },
-    /// Answer to a [`Ping`](Frame::Ping) (v2+).
+    /// Answer to a [`Ping`](Frame::Ping).
     Pong {
         /// The nonce of the ping being answered.
         nonce: u64,
     },
-    /// Authenticate a producer connection to a resumable session
-    /// (v2+). The server keeps a bounded per-(session, source) window
+    /// Authenticate a producer connection to a resumable session. The
+    /// server keeps a bounded per-(session, source) window
     /// of recently acked batch sequence numbers: a reconnecting client
     /// that replays its unacked suffix under the same session id gets
     /// already-applied batches re-acked instead of re-applied, so
@@ -219,7 +212,7 @@ pub enum Frame {
         /// Client-chosen session id; batch dedup is keyed by it.
         session: String,
     },
-    /// Clean close (v2+). A client sends it before hanging up so the
+    /// Clean close. A client sends it before hanging up so the
     /// server can tell a deliberate close from a crashed peer; the
     /// server sends it to connections it is draining. No reply — the
     /// stream ends here.
@@ -227,7 +220,7 @@ pub enum Frame {
         /// Why the sender is going away.
         reason: String,
     },
-    /// Connection-level failure (v2+): the server can no longer trust
+    /// Connection-level failure: the server can no longer trust
     /// this stream (corrupt framing, liveness deadline missed) and is
     /// closing it, but nothing was *refused* — a client with a
     /// resumable session should redial and replay. Contrast with
@@ -609,26 +602,16 @@ fn checked_count(n: u32, payload_len: usize) -> Result<usize, WireError> {
 /// a single write, so an injected duplication or tear operates on the
 /// whole preamble rather than splitting the magic from the version.
 pub fn write_preamble(w: &mut impl Write) -> Result<(), WireError> {
-    write_preamble_version(w, WIRE_VERSION)
-}
-
-/// Writes a preamble claiming a specific (still-supported) `version` —
-/// how the byte-pinned v1 fixture stays writable after a bump.
-pub fn write_preamble_version(w: &mut impl Write, version: u32) -> Result<(), WireError> {
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::Version(version));
-    }
     let mut buf = [0u8; 8];
     buf[..4].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
-    buf[4..].copy_from_slice(&version.to_le_bytes());
+    buf[4..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
     w.write_all(&buf)?;
     Ok(())
 }
 
-/// Reads and validates the peer's preamble; returns the version the
-/// peer speaks (any of [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`]). The
-/// caller must not send frames newer than that version.
-pub fn read_preamble(r: &mut impl Read) -> Result<u32, WireError> {
+/// Reads and validates the peer's preamble: [`WIRE_MAGIC`], then
+/// exactly [`WIRE_VERSION`].
+pub fn read_preamble(r: &mut impl Read) -> Result<(), WireError> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     let magic = u32::from_le_bytes(buf);
@@ -637,10 +620,10 @@ pub fn read_preamble(r: &mut impl Read) -> Result<u32, WireError> {
     }
     r.read_exact(&mut buf)?;
     let version = u32::from_le_bytes(buf);
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::Version(version));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Writes one frame (length + payload + CRC) and flushes. The whole

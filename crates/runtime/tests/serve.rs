@@ -689,6 +689,31 @@ fn bad_hellos_are_refused() {
     }
 }
 
+/// A peer announcing an older wire version gets the server's preamble
+/// and then a typed refusal naming its version — never a session.
+#[test]
+fn old_wire_version_is_refused_at_the_preamble() {
+    let server = serve(&["solo"], tenant_builder);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut preamble = wire::WIRE_MAGIC.to_le_bytes().to_vec();
+    preamble.extend(1u32.to_le_bytes());
+    stream.write_all(&preamble).unwrap();
+    wire::read_preamble(&mut stream).unwrap();
+    match wire::read_frame(&mut stream).unwrap() {
+        Frame::Error { reason } => {
+            assert!(reason.contains("unsupported wire version 1"), "{reason}")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(server.stats().refused, 1);
+    for (name, report) in server.shutdown() {
+        report.unwrap_or_else(|e| panic!("{name} closes cleanly: {e}"));
+    }
+}
+
 /// A subscriber that leaves while the stream is idle — with a
 /// `Goodbye`, or by just hanging up — frees its hub slot at once: the
 /// reader half is blocked on the socket, not waiting out a ping

@@ -1,11 +1,9 @@
-//! Byte-compatibility pins for the wire framing.
+//! Byte-compatibility pin for the wire framing.
 //!
-//! `fixtures/wire_v1.bin` holds a v1 preamble plus one of every v1
-//! frame type; `fixtures/wire_v2.bin` adds the v2 liveness/resume
-//! frames (`Ping`, `Pong`, `HelloResume`, `Goodbye`) under a v2
-//! preamble. Both are framed by [`wire::write_frame`] and committed to
-//! the repository. Two guarantees are pinned per fixture (mirroring
-//! the WAL's `wal_v1.bin`):
+//! `fixtures/wire_v2.bin` holds the version-2 preamble plus one of
+//! every frame type, framed by [`wire::write_frame`] and committed to
+//! the repository. Two guarantees are pinned (mirroring the WAL's
+//! `wal_v1.bin`):
 //!
 //! 1. the current encoder produces a byte-identical stream for the
 //!    same frames — the framing never drifts, so clients and servers
@@ -14,8 +12,6 @@
 //!    an *old* peer's stream parsed by the *new* code yields the same
 //!    protocol messages.
 //!
-//! The v1 fixture is frozen forever: v2 only *added* frame types, so
-//! every v1 encoding is unchanged and a v1 peer still interoperates.
 //! If either test fails, the wire format changed: that is a protocol
 //! break for every deployed producer and subscriber, and requires a
 //! `WIRE_VERSION` bump plus a new `wire_v3.bin`, not a re-bless.
@@ -27,18 +23,20 @@ use ec_events::Value;
 use ec_runtime::serve::wire::{self, FlowState, Frame, Role, WireAlarm};
 use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
+const FIXTURE: &str = "wire_v2.bin";
+
+fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join(name)
+        .join(FIXTURE)
 }
 
-/// One of every v1 frame type, with bodies covering every `Value`
+/// One of every frame type, with bodies covering every `Value`
 /// variant, silent bins, empty strings and empty lists — the shapes a
 /// real session produces, plus the NaN bit pattern the property tests
 /// skip.
-fn v1_frames() -> Vec<Frame> {
+fn frames() -> Vec<Frame> {
     vec![
         Frame::Hello {
             token: "s3cret".into(),
@@ -115,14 +113,6 @@ fn v1_frames() -> Vec<Frame> {
         },
         Frame::Shutdown,
         Frame::ShutdownOk,
-    ]
-}
-
-/// The v2 stream: every v1 frame (unchanged encodings) plus the
-/// liveness/resume frames v2 introduced.
-fn v2_frames() -> Vec<Frame> {
-    let mut frames = v1_frames();
-    frames.extend([
         Frame::Ping { nonce: 0 },
         Frame::Ping { nonce: u64::MAX },
         Frame::Pong { nonce: 417 },
@@ -148,17 +138,7 @@ fn v2_frames() -> Vec<Frame> {
         Frame::Abort {
             reason: String::new(),
         },
-    ]);
-    frames
-}
-
-fn write_stream(version: u32, frames: &[Frame]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wire::write_preamble_version(&mut buf, version).unwrap();
-    for frame in frames {
-        wire::write_frame(&mut buf, frame).unwrap();
-    }
-    buf
+    ]
 }
 
 /// `Frame` equality that treats NaN by bits, like the WAL fixture.
@@ -189,9 +169,14 @@ fn same_frame(a: &Frame, b: &Frame) -> bool {
     }
 }
 
-fn check_encoder_pin(name: &str, version: u32, frames: &[Frame]) {
-    let written = write_stream(version, frames);
-    let fixture = fixture_path(name);
+#[test]
+fn encoder_reproduces_committed_v2_bytes() {
+    let mut written = Vec::new();
+    wire::write_preamble(&mut written).unwrap();
+    for frame in frames() {
+        wire::write_frame(&mut written, &frame).unwrap();
+    }
+    let fixture = fixture_path();
     if std::env::var_os("EC_BLESS_FIXTURES").is_some() {
         std::fs::create_dir_all(fixture.parent().unwrap()).unwrap();
         std::fs::write(&fixture, &written).unwrap();
@@ -208,48 +193,28 @@ fn check_encoder_pin(name: &str, version: u32, frames: &[Frame]) {
     });
     assert_eq!(
         written, committed,
-        "wire bytes diverged from the committed {name} fixture: the framing \
+        "wire bytes diverged from the committed {FIXTURE} fixture: the framing \
          changed, which breaks every deployed peer (bump WIRE_VERSION \
          instead of re-blessing)"
     );
 }
 
-fn check_decode_pin(name: &str, version: u32, frames: &[Frame]) {
-    let committed = std::fs::read(fixture_path(name)).expect("committed fixture present");
+#[test]
+fn committed_v2_fixture_decodes_to_original_frames() {
+    let committed = std::fs::read(fixture_path()).expect("committed fixture present");
     let mut r = std::io::Cursor::new(committed.as_slice());
-    let got_version = wire::read_preamble(&mut r).expect("fixture preamble valid");
-    assert_eq!(got_version, version, "{name} preamble version");
-    for (i, want) in frames.iter().enumerate() {
+    wire::read_preamble(&mut r).expect("fixture preamble is the current version");
+    for (i, want) in frames().iter().enumerate() {
         let got = wire::read_frame(&mut r)
-            .unwrap_or_else(|e| panic!("{name} frame {i} failed to decode: {e}"));
+            .unwrap_or_else(|e| panic!("{FIXTURE} frame {i} failed to decode: {e}"));
         assert!(
             same_frame(&got, want),
-            "{name} frame {i}: got {got:?}, want {want:?}"
+            "{FIXTURE} frame {i}: got {got:?}, want {want:?}"
         );
     }
     assert_eq!(
         r.position() as usize,
         committed.len(),
-        "{name} has trailing bytes beyond the known frames"
+        "{FIXTURE} has trailing bytes beyond the known frames"
     );
-}
-
-#[test]
-fn encoder_reproduces_committed_v1_bytes() {
-    check_encoder_pin("wire_v1.bin", 1, &v1_frames());
-}
-
-#[test]
-fn committed_v1_fixture_decodes_to_original_frames() {
-    check_decode_pin("wire_v1.bin", 1, &v1_frames());
-}
-
-#[test]
-fn encoder_reproduces_committed_v2_bytes() {
-    check_encoder_pin("wire_v2.bin", 2, &v2_frames());
-}
-
-#[test]
-fn committed_v2_fixture_decodes_to_original_frames() {
-    check_decode_pin("wire_v2.bin", 2, &v2_frames());
 }

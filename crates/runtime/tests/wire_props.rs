@@ -11,8 +11,7 @@
 
 use ec_events::Value;
 use ec_runtime::serve::wire::{
-    self, FlowState, Frame, Role, WireAlarm, WireError, MAX_FRAME, MIN_WIRE_VERSION, WIRE_MAGIC,
-    WIRE_VERSION,
+    self, FlowState, Frame, Role, WireAlarm, WireError, MAX_FRAME, WIRE_MAGIC, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
@@ -289,20 +288,24 @@ proptest! {
         let _ = wire::read_preamble(&mut Cursor::new(&bytes));
     }
 
-    /// A preamble with the right magic but a version outside the
-    /// accepted range is refused as version skew, not corruption.
+    /// A preamble with the right magic but any version other than
+    /// `WIRE_VERSION` — every neighbour, older peers included, plus
+    /// draws from the whole u32 range — is refused as version skew, not
+    /// corruption.
     #[test]
-    fn wrong_versions_are_refused(version in 0u32..u32::MAX) {
-        if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            continue;
+    fn wrong_versions_are_refused(far in 0u32..u32::MAX) {
+        for version in (0..=WIRE_VERSION + 1).chain([far, u32::MAX]) {
+            if version == WIRE_VERSION {
+                continue;
+            }
+            let mut buf = WIRE_MAGIC.to_le_bytes().to_vec();
+            buf.extend(version.to_le_bytes());
+            let result = wire::read_preamble(&mut Cursor::new(&buf));
+            prop_assert!(
+                matches!(result, Err(WireError::Version(v)) if v == version),
+                "{result:?}"
+            );
         }
-        let mut buf = WIRE_MAGIC.to_le_bytes().to_vec();
-        buf.extend(version.to_le_bytes());
-        let result = wire::read_preamble(&mut Cursor::new(&buf));
-        prop_assert!(
-            matches!(result, Err(WireError::Version(v)) if v == version),
-            "{result:?}"
-        );
     }
 
     /// A preamble with the wrong magic is refused before the version is

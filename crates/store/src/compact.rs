@@ -19,7 +19,7 @@
 use crate::error::StoreError;
 use crate::io::{real_io, StoreIo};
 use crate::manifest::{self, SegmentEntry};
-use crate::wal::{segment_path, ContentsLayout};
+use crate::wal::segment_path;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -98,8 +98,7 @@ pub(crate) fn drop_dead_segments(
 
 /// Offline compaction of the store in `dir` (the `ec store … compact`
 /// path): finds the newest usable snapshot and drops every segment it
-/// makes dead. A legacy single-file store, or one with no usable
-/// snapshot, compacts to a no-op.
+/// makes dead. A store with no usable snapshot compacts to a no-op.
 pub fn compact_store(dir: &Path) -> Result<CompactReport, StoreError> {
     compact_store_with(dir, &real_io())
 }
@@ -107,27 +106,13 @@ pub fn compact_store(dir: &Path) -> Result<CompactReport, StoreError> {
 /// [`compact_store`] through an explicit I/O plane.
 pub fn compact_store_with(dir: &Path, io: &Arc<dyn StoreIo>) -> Result<CompactReport, StoreError> {
     let contents = crate::wal::read_wal(dir)?;
-    let ContentsLayout::Segmented { gen, ref entries } = contents.layout else {
-        return Ok(CompactReport::noop(0));
-    };
-    let committed = contents.base_rows + contents.rows.len() as u64;
-    // The newest snapshot that both resolves and is replayable from
-    // this log (phase within [base, committed]) bounds what is dead.
-    let mut keep_phase = None;
-    for head in crate::snapshot::list_snapshot_files(dir)?.iter().rev() {
-        if head.phase > committed || head.phase < contents.base_rows {
-            continue;
-        }
-        if crate::snapshot::resolve_chain(dir, head).is_ok() {
-            keep_phase = Some(head.phase);
-            break;
-        }
-    }
-    let Some(keep_phase) = keep_phase else {
+    // The newest snapshot recovery would restore bounds what is dead.
+    let snapshot = crate::recovery::newest_usable_snapshot(dir, &contents, &mut Vec::new())?;
+    let Some(keep_phase) = snapshot.map(|s| s.phase) else {
         return Ok(CompactReport::noop(contents.base_rows));
     };
-    match drop_dead_segments(dir, io, entries, gen, keep_phase)? {
-        None => Ok(CompactReport::noop(entries[0].first_row)),
+    match drop_dead_segments(dir, io, &contents.entries, contents.gen, keep_phase)? {
+        None => Ok(CompactReport::noop(contents.base_rows)),
         Some((_, _, report)) => Ok(report),
     }
 }

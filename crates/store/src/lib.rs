@@ -12,8 +12,8 @@
 //!   named manifest. Appends happen at epoch seal, *before* the phase
 //!   is admitted: a row the outside world saw accepted is never lost.
 //!   Recovery drops a torn tail record (crash mid-append) and reports
-//!   real corruption. Pre-segmentation single-file stores (`wal.log`)
-//!   are still read and resumed.
+//!   real corruption. A directory holding a single-file `wal.log` from
+//!   an earlier release is refused, never read or overwritten.
 //! * [`write_snapshot`] / [`read_snapshot`] / [`Snapshotter`] —
 //!   operator state ([`ec_core::EngineCheckpoint`]) at a retired phase
 //!   boundary, written atomically; incremental deltas carry only the
@@ -44,8 +44,6 @@
 //! <dir>/wal/manifest-<gen>.ecm       authoritative segment list
 //! <dir>/snapshot-<phase>.ecs         full operator state at a phase
 //! <dir>/delta-<phase>.ecs            changed vertices since a parent
-//! <dir>/wal.log                      legacy single-file log (read-only
-//!                                    layout; still appendable)
 //! ```
 
 #![warn(missing_docs)]
@@ -62,7 +60,7 @@ mod wal;
 pub use compact::{compact_store, compact_store_with, CompactReport};
 pub use crc::crc32;
 pub use error::StoreError;
-pub use io::{real_io, Fault, FaultIo, FaultPlan, RealIo, StoreFile, StoreIo};
+pub use io::{real_io, splitmix64, Fault, FaultIo, FaultPlan, RealIo, StoreFile, StoreIo};
 pub use manifest::SegmentEntry;
 pub use recovery::Recovery;
 pub use snapshot::{
@@ -70,8 +68,8 @@ pub use snapshot::{
     SnapshotData, SnapshotFile, SnapshotKind, SnapshotOutcome, Snapshotter,
 };
 pub use wal::{
-    read_wal, segment_path, store_exists, wal_dir, wal_path, Row, SegmentInfo, WalContents,
-    WalOptions, WalTail, WalWriter, DEFAULT_SEGMENT_BYTES, WAL_DIR, WAL_FILE,
+    read_wal, segment_path, store_exists, wal_dir, Row, SegmentInfo, WalContents, WalOptions,
+    WalTail, WalWriter, DEFAULT_SEGMENT_BYTES, WAL_DIR,
 };
 
 /// The store directory for tenant session `name` under `root` — the

@@ -1,8 +1,7 @@
 //! Opening a store and working out where to resume.
 //!
-//! [`Recovery`] reads the WAL (manifest + segments, or the legacy
-//! single file), drops a torn tail, resolves the newest *usable*
-//! snapshot chain (delta → … → full, see [`crate::snapshot`]), and
+//! [`Recovery`] reads the WAL (manifest + segments), drops a torn
+//! tail, resolves the newest *usable* snapshot chain (delta → … → full, see [`crate::snapshot`]), and
 //! presents the pieces a runtime needs to resume: the committed rows
 //! still on disk, the merged checkpoint to restore operator state
 //! from, and the tail of rows after it that must be replayed through
@@ -17,9 +16,43 @@
 //! history it cannot have.
 
 use crate::error::StoreError;
+use crate::manifest::SegmentEntry;
 use crate::snapshot::{list_snapshot_files, resolve_chain, SnapshotData};
-use crate::wal::{read_wal, ContentsLayout, Row, SegmentInfo, WalOptions, WalTail, WalWriter};
+use crate::wal::{read_wal, Row, SegmentInfo, WalContents, WalOptions, WalTail, WalWriter};
 use std::path::{Path, PathBuf};
+
+/// The newest snapshot the log in `contents` can resume from. Heads
+/// ahead of the log or behind its compacted base, and chains that fail
+/// to resolve, are pushed to `skipped` as `(path, reason)`. The one
+/// selection rule shared by [`Recovery::open`] and offline compaction.
+pub(crate) fn newest_usable_snapshot(
+    dir: &Path,
+    contents: &WalContents,
+    skipped: &mut Vec<(PathBuf, String)>,
+) -> Result<Option<SnapshotData>, StoreError> {
+    let base = contents.base_rows;
+    let committed = base + contents.rows.len() as u64;
+    for head in list_snapshot_files(dir)?.iter().rev() {
+        let reason = if head.phase > committed {
+            format!(
+                "snapshot at phase {} is ahead of the log ({committed} rows)",
+                head.phase
+            )
+        } else if head.phase < base {
+            format!(
+                "snapshot at phase {} predates the compacted base ({base})",
+                head.phase
+            )
+        } else {
+            match resolve_chain(dir, head) {
+                Ok(data) => return Ok(Some(data)),
+                Err(reason) => reason,
+            }
+        };
+        skipped.push((head.path.clone(), reason));
+    }
+    Ok(None)
+}
 
 /// A store opened for recovery.
 #[derive(Debug)]
@@ -46,7 +79,8 @@ pub struct Recovery {
     pub skipped_manifests: Vec<(PathBuf, String)>,
     valid_len: u64,
     resumable: bool,
-    layout: ContentsLayout,
+    gen: u64,
+    entries: Vec<SegmentEntry>,
 }
 
 impl Recovery {
@@ -60,38 +94,8 @@ impl Recovery {
     /// in favour of older ones whenever the log can fill the gap.
     pub fn open(dir: &Path) -> Result<Recovery, StoreError> {
         let contents = read_wal(dir)?;
-        let committed = contents.base_rows + contents.rows.len() as u64;
         let mut skipped = Vec::new();
-        let mut snapshot = None;
-        for head in list_snapshot_files(dir)?.iter().rev() {
-            if head.phase > committed {
-                skipped.push((
-                    head.path.clone(),
-                    format!(
-                        "snapshot at phase {} is ahead of the log ({committed} rows)",
-                        head.phase
-                    ),
-                ));
-                continue;
-            }
-            if head.phase < contents.base_rows {
-                skipped.push((
-                    head.path.clone(),
-                    format!(
-                        "snapshot at phase {} predates the compacted base ({})",
-                        head.phase, contents.base_rows
-                    ),
-                ));
-                continue;
-            }
-            match resolve_chain(dir, head) {
-                Ok(data) => {
-                    snapshot = Some(data);
-                    break;
-                }
-                Err(reason) => skipped.push((head.path.clone(), reason)),
-            }
-        }
+        let snapshot = newest_usable_snapshot(dir, &contents, &mut skipped)?;
         if snapshot.is_none() && contents.base_rows > 0 {
             return Err(StoreError::corrupt(
                 dir,
@@ -114,18 +118,14 @@ impl Recovery {
             skipped_manifests: contents.skipped_manifests,
             valid_len: contents.valid_len,
             resumable: contents.resumable,
-            layout: contents.layout,
+            gen: contents.gen,
+            entries: contents.entries,
         })
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Segmented rather than legacy single-file layout.
-    pub fn is_segmented(&self) -> bool {
-        matches!(self.layout, ContentsLayout::Segmented { .. })
     }
 
     /// Phases committed to the log, compacted history included.
@@ -159,11 +159,8 @@ impl Recovery {
     /// commits extend the validated prefix. Refuses stores whose
     /// damage is not confined to the final segment.
     pub fn append_writer_with(&self, opts: WalOptions) -> Result<WalWriter, StoreError> {
-        let ContentsLayout::Segmented { gen, ref entries } = self.layout else {
-            return WalWriter::resume(&self.dir, self.valid_len, self.rows.len() as u64);
-        };
         if !self.resumable {
-            let last = entries.last().expect("manifest entries are non-empty");
+            let last = self.entries.last().expect("manifest entries are non-empty");
             return Err(StoreError::corrupt(
                 crate::wal::segment_path(&self.dir, last.seq),
                 "damage before the final segment; refusing to resume",
@@ -175,11 +172,11 @@ impl Recovery {
             .take(self.segments.len().saturating_sub(1))
             .map(|s| s.bytes)
             .sum();
-        WalWriter::resume_segmented(
+        WalWriter::reopen(
             &self.dir,
             &self.sources,
-            gen,
-            entries,
+            self.gen,
+            &self.entries,
             self.committed_phases(),
             self.valid_len,
             sealed_bytes,

@@ -9,8 +9,8 @@
 //! runtime commits when it seals an epoch. Appending the row *before*
 //! the phase is admitted makes the log the authoritative commit: a
 //! phase the outside world saw accepted is never lost to a crash.
-//! Single-file stores from earlier versions (`wal.log`) are still
-//! read and resumed in place.
+//! This is the only layout: a directory holding a single-file `wal.log`
+//! from an earlier release is refused, never read or overwritten.
 //!
 //! ## Framing
 //!
@@ -56,9 +56,6 @@ use std::sync::Arc;
 /// order (`None` = the source was silent that phase).
 pub type Row = Vec<Option<Value>>;
 
-/// File name of a legacy single-file write-ahead log.
-pub const WAL_FILE: &str = "wal.log";
-
 /// Directory of WAL segments and manifests inside a store directory.
 pub const WAL_DIR: &str = "wal";
 
@@ -73,11 +70,6 @@ const WAL_MAGIC: &[u8; 6] = b"ECWAL1";
 /// corruption rather than attempted as allocations.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-/// Path of a legacy single-file WAL inside `dir`.
-pub fn wal_path(dir: &Path) -> PathBuf {
-    dir.join(WAL_FILE)
-}
-
 /// The segment directory inside `dir`.
 pub fn wal_dir(dir: &Path) -> PathBuf {
     dir.join(WAL_DIR)
@@ -89,13 +81,25 @@ pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     wal_dir(dir).join(format!("seg-{seq:012}.log"))
 }
 
-/// Whether `dir` holds a store (segmented or legacy). This — not the
+/// Whether `dir` holds a store (a manifest generation). This — not the
 /// presence of any one file — is the create-vs-restore test.
 pub fn store_exists(dir: &Path) -> bool {
-    wal_path(dir).exists()
-        || manifest::list_manifests(dir)
-            .map(|m| !m.is_empty())
-            .unwrap_or(true)
+    manifest::list_manifests(dir)
+        .map(|m| !m.is_empty())
+        .unwrap_or(true)
+}
+
+/// Refuses a directory holding the single-file log of an earlier
+/// release: it is neither read nor shadowed by a fresh store.
+fn refuse_single_file_log(dir: &Path) -> Result<(), StoreError> {
+    let path = dir.join("wal.log");
+    if path.exists() {
+        return Err(StoreError::corrupt(
+            path,
+            "single-file log from an earlier release; only segmented stores are supported",
+        ));
+    }
+    Ok(())
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {
@@ -140,16 +144,6 @@ impl Default for WalOptions {
     }
 }
 
-enum Layout {
-    /// Pre-segmentation single file; never rotates or compacts.
-    Legacy,
-    Segmented {
-        segment_bytes: u64,
-        entries: Vec<SegmentEntry>,
-        gen: u64,
-    },
-}
-
 /// Append half of the log, with group commit: rows are staged into an
 /// in-memory buffer ([`stage_row`](WalWriter::stage_row)) and flushed
 /// to the OS in one contiguous append per [`commit`](WalWriter::commit)
@@ -165,8 +159,12 @@ pub struct WalWriter {
     io: Arc<dyn StoreIo>,
     dir: PathBuf,
     sources: Vec<String>,
-    layout: Layout,
-    /// The active file (last segment, or the legacy single file).
+    /// Rotation bound for the active segment.
+    segment_bytes: u64,
+    /// Live segments as listed by manifest generation `gen`.
+    entries: Vec<SegmentEntry>,
+    gen: u64,
+    /// The active file (the last segment).
     path: PathBuf,
     file: Box<dyn StoreFile>,
     /// Absolute committed rows, compacted history included.
@@ -210,7 +208,9 @@ impl WalWriter {
     /// store — or any leftover snapshot file — is already present: an
     /// existing store is restored, never silently overwritten, and a
     /// stale snapshot next to a fresh log would later restore the *old*
-    /// run's operator state over the new run's history.
+    /// run's operator state over the new run's history. A single-file
+    /// `wal.log` from an earlier release is refused as
+    /// [`StoreError::Corrupt`].
     pub fn create_with(
         dir: &Path,
         sources: &[String],
@@ -218,9 +218,7 @@ impl WalWriter {
     ) -> Result<WalWriter, StoreError> {
         let io = opts.io;
         io.create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
-        if wal_path(dir).exists() {
-            return Err(StoreError::AlreadyExists(wal_path(dir)));
-        }
+        refuse_single_file_log(dir)?;
         if let Some((_, stale)) = manifest::list_manifests(dir)?.into_iter().next_back() {
             return Err(StoreError::AlreadyExists(stale));
         }
@@ -257,11 +255,9 @@ impl WalWriter {
             io,
             dir: dir.to_path_buf(),
             sources: sources.to_vec(),
-            layout: Layout::Segmented {
-                segment_bytes: opts.segment_bytes.max(1),
-                entries,
-                gen: 1,
-            },
+            segment_bytes: opts.segment_bytes.max(1),
+            entries,
+            gen: 1,
             path,
             file,
             rows: 0,
@@ -278,86 +274,13 @@ impl WalWriter {
         })
     }
 
-    /// Reopens a **legacy** single-file WAL for appending after
-    /// recovery. `valid_len` is the byte length of the validated prefix
-    /// (from [`read_wal`](crate::read_wal)); anything beyond it — a
-    /// torn tail — is truncated away so new appends start on a record
-    /// boundary. `rows` is the number of valid rows in that prefix.
-    /// Segmented stores resume through
-    /// [`Recovery::append_writer`](crate::Recovery::append_writer).
-    pub fn resume(dir: &Path, valid_len: u64, rows: u64) -> Result<WalWriter, StoreError> {
-        let io = real_io();
-        let path = wal_path(dir);
-        let mut file = io
-            .open(&path, false)
-            .map_err(|e| StoreError::io(&path, e))?;
-        file.truncate_to(valid_len)
-            .map_err(|e| StoreError::io(&path, e))?;
-        Ok(WalWriter {
-            io,
-            dir: dir.to_path_buf(),
-            sources: Vec::new(),
-            layout: Layout::Legacy,
-            path,
-            file,
-            rows,
-            active_len: valid_len,
-            sealed_bytes: 0,
-            needs_repair: false,
-            pending_sync: false,
-            buf: Vec::new(),
-            staged_rows: 0,
-            sync_every: None,
-            rows_since_sync: 0,
-            scratch: Vec::new(),
-            last_commit_nanos: 0,
-        })
-    }
-
-    /// Reopens a store described by [`WalContents`] for appending,
-    /// truncating any torn tail in the final segment. Refuses stores
-    /// whose damage is not confined to the final segment. (Production
-    /// code resumes through [`Recovery`](crate::Recovery), which does
-    /// the same via [`resume_segmented`](Self::resume_segmented).)
-    #[cfg(test)]
-    pub(crate) fn resume_contents(
-        dir: &Path,
-        contents: &WalContents,
-        opts: WalOptions,
-    ) -> Result<WalWriter, StoreError> {
-        let ContentsLayout::Segmented { gen, ref entries } = contents.layout else {
-            return WalWriter::resume(dir, contents.valid_len, contents.rows.len() as u64);
-        };
-        if !contents.resumable {
-            let last = entries.last().expect("manifest entries are non-empty");
-            return Err(StoreError::corrupt(
-                segment_path(dir, last.seq),
-                "damage before the final segment; refusing to resume",
-            ));
-        }
-        let sealed_bytes = contents
-            .segments
-            .iter()
-            .take(contents.segments.len().saturating_sub(1))
-            .map(|s| s.bytes)
-            .sum();
-        WalWriter::resume_segmented(
-            dir,
-            &contents.sources,
-            gen,
-            entries,
-            contents.base_rows + contents.rows.len() as u64,
-            contents.valid_len,
-            sealed_bytes,
-            opts,
-        )
-    }
-
-    /// Reopens the final segment of a validated segmented store for
-    /// appending. `rows` is absolute (compacted history included);
-    /// `valid_len` is the validated prefix of the final segment.
+    /// Reopens the final segment of a validated store for appending
+    /// (through [`Recovery`](crate::Recovery)). `rows` is absolute
+    /// (compacted history included); `valid_len` is the validated prefix
+    /// of the final segment, and anything beyond it — a torn tail — is
+    /// truncated away so new appends start on a record boundary.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resume_segmented(
+    pub(crate) fn reopen(
         dir: &Path,
         sources: &[String],
         gen: u64,
@@ -383,11 +306,9 @@ impl WalWriter {
             io,
             dir: dir.to_path_buf(),
             sources: sources.to_vec(),
-            layout: Layout::Segmented {
-                segment_bytes: opts.segment_bytes.max(1),
-                entries: entries.to_vec(),
-                gen,
-            },
+            segment_bytes: opts.segment_bytes.max(1),
+            entries: entries.to_vec(),
+            gen,
             path,
             file,
             rows,
@@ -449,16 +370,10 @@ impl WalWriter {
     /// Seals the active segment and starts the next one. See the
     /// module docs for the crash-safe ordering.
     fn rotate(&mut self) -> Result<(), StoreError> {
-        let Layout::Segmented {
-            ref entries, gen, ..
-        } = self.layout
-        else {
-            return Ok(());
-        };
         self.file
             .fsync()
             .map_err(|e| StoreError::io(&self.path, e))?;
-        let next_seq = entries.last().expect("entries non-empty").seq + 1;
+        let next_seq = self.entries.last().expect("entries non-empty").seq + 1;
         let path = segment_path(&self.dir, next_seq);
         // Debris from a rotation that crashed between creating the
         // segment and writing the manifest.
@@ -470,28 +385,23 @@ impl WalWriter {
         let header = frame(&encode_header(&self.sources));
         file.append(&header).map_err(|e| StoreError::io(&path, e))?;
         file.fsync().map_err(|e| StoreError::io(&path, e))?;
-        let mut new_entries = entries.clone();
+        let mut new_entries = self.entries.clone();
         new_entries.push(SegmentEntry {
             seq: next_seq,
             first_row: self.rows,
         });
-        manifest::write_manifest(&self.dir, gen + 1, &new_entries, &self.io)?;
-        let _ = self.io.remove(&manifest::manifest_path(&self.dir, gen));
+        manifest::write_manifest(&self.dir, self.gen + 1, &new_entries, &self.io)?;
+        let _ = self
+            .io
+            .remove(&manifest::manifest_path(&self.dir, self.gen));
         // Only now — with the new generation authoritative — does the
         // writer move over.
         self.sealed_bytes += self.active_len;
         self.path = path;
         self.file = file;
         self.active_len = header.len() as u64;
-        if let Layout::Segmented {
-            ref mut entries,
-            ref mut gen,
-            ..
-        } = self.layout
-        {
-            *entries = new_entries;
-            *gen += 1;
-        }
+        self.entries = new_entries;
+        self.gen += 1;
         Ok(())
     }
 
@@ -514,19 +424,10 @@ impl WalWriter {
         }
         // Rotate when the active segment is over its bound *and* holds
         // at least one row — never leaving an empty segment behind.
-        let rotate_due = match self.layout {
-            Layout::Segmented {
-                segment_bytes,
-                ref entries,
-                ..
-            } => {
-                !self.buf.is_empty()
-                    && self.active_len >= segment_bytes
-                    && self.rows > entries.last().expect("entries non-empty").first_row
-            }
-            Layout::Legacy => false,
-        };
-        if rotate_due {
+        if !self.buf.is_empty()
+            && self.active_len >= self.segment_bytes
+            && self.rows > self.entries.last().expect("entries non-empty").first_row
+        {
             self.rotate()?;
         }
         let mut batch = 0;
@@ -582,20 +483,14 @@ impl WalWriter {
     }
 
     /// Rows compacted away: the log physically starts at this absolute
-    /// row index. `0` for legacy stores and before any compaction.
+    /// row index. `0` before any compaction.
     pub fn base_rows(&self) -> u64 {
-        match self.layout {
-            Layout::Legacy => 0,
-            Layout::Segmented { ref entries, .. } => entries[0].first_row,
-        }
+        self.entries[0].first_row
     }
 
-    /// Live segments (1 for a legacy store).
+    /// Live segments.
     pub fn segment_count(&self) -> u64 {
-        match self.layout {
-            Layout::Legacy => 1,
-            Layout::Segmented { ref entries, .. } => entries.len() as u64,
-        }
+        self.entries.len() as u64
     }
 
     /// Committed bytes across all live segments.
@@ -605,30 +500,24 @@ impl WalWriter {
 
     /// Drops sealed segments whose every row is at or below
     /// `keep_phase` (i.e. covered by a durable snapshot at that phase).
-    /// The active segment is never dropped. No-op on legacy stores.
+    /// The active segment is never dropped.
     pub fn compact(
         &mut self,
         keep_phase: u64,
     ) -> Result<crate::compact::CompactReport, StoreError> {
-        let Layout::Segmented {
-            ref entries, gen, ..
-        } = self.layout
-        else {
-            return Ok(crate::compact::CompactReport::noop(0));
-        };
-        match crate::compact::drop_dead_segments(&self.dir, &self.io, entries, gen, keep_phase)? {
-            None => Ok(crate::compact::CompactReport::noop(entries[0].first_row)),
+        let dropped = crate::compact::drop_dead_segments(
+            &self.dir,
+            &self.io,
+            &self.entries,
+            self.gen,
+            keep_phase,
+        )?;
+        match dropped {
+            None => Ok(crate::compact::CompactReport::noop(self.base_rows())),
             Some((new_entries, new_gen, report)) => {
                 self.sealed_bytes = self.sealed_bytes.saturating_sub(report.removed_bytes);
-                if let Layout::Segmented {
-                    ref mut entries,
-                    ref mut gen,
-                    ..
-                } = self.layout
-                {
-                    *entries = new_entries;
-                    *gen = new_gen;
-                }
+                self.entries = new_entries;
+                self.gen = new_gen;
                 Ok(report)
             }
         }
@@ -720,7 +609,7 @@ pub enum WalTail {
 /// One live segment as read back, for accounting and inspection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// Segment sequence number (`0` for a legacy single-file store).
+    /// Segment sequence number (names `seg-<seq>.log`).
     pub seq: u64,
     /// The segment file.
     pub path: PathBuf,
@@ -730,15 +619,6 @@ pub struct SegmentInfo {
     pub rows: u64,
     /// File size in bytes.
     pub bytes: u64,
-}
-
-#[derive(Debug)]
-pub(crate) enum ContentsLayout {
-    Legacy,
-    Segmented {
-        gen: u64,
-        entries: Vec<SegmentEntry>,
-    },
 }
 
 /// Everything recovered from a WAL.
@@ -751,20 +631,21 @@ pub struct WalContents {
     pub rows: Vec<Row>,
     /// State of the log's tail.
     pub tail: WalTail,
-    /// Byte length of the validated prefix of the **final** segment
-    /// (or the legacy file) — where appending resumes.
+    /// Byte length of the validated prefix of the **final** segment —
+    /// where appending resumes.
     pub valid_len: u64,
     /// Rows compacted away before `rows[0]` (covered by a snapshot).
     pub base_rows: u64,
-    /// Per-segment accounting, log order (one pseudo-entry for a
-    /// legacy store).
+    /// Per-segment accounting, log order.
     pub segments: Vec<SegmentInfo>,
     /// Manifest generations skipped as unreadable, `(path, reason)`.
     pub skipped_manifests: Vec<(PathBuf, String)>,
     /// Damage, if any, is confined to the final segment, so truncating
     /// to `valid_len` and appending is sound.
     pub(crate) resumable: bool,
-    pub(crate) layout: ContentsLayout,
+    /// The authoritative manifest generation and its segment list.
+    pub(crate) gen: u64,
+    pub(crate) entries: Vec<SegmentEntry>,
 }
 
 enum RawRecord {
@@ -900,69 +781,22 @@ fn scan_rows(buf: &[u8], mut offset: u64, columns: usize, row_base: u64) -> File
     }
 }
 
-/// Reads and validates the WAL in `dir` — segmented if a manifest
-/// exists, otherwise the legacy single file.
+/// Reads and validates the WAL in `dir`.
 ///
 /// Errors only when no usable log exists (missing store, unreadable
-/// first header, a hole in the manifest chain). Damage in the *final*
+/// first header, a hole in the manifest chain, a single-file `wal.log`
+/// from an earlier release). Damage in the *final*
 /// segment is reported through [`WalContents::tail`] — the valid
 /// prefix is always returned, because a prefix of a committed history
 /// is itself a committed history. Damage in a sealed earlier segment
 /// also surfaces as a [`WalTail::Corrupt`] tail (with the valid prefix
 /// up to the damage), but marks the store non-resumable.
 pub fn read_wal(dir: &Path) -> Result<WalContents, StoreError> {
+    refuse_single_file_log(dir)?;
     match manifest::load_latest(dir)? {
         Some((gen, entries, skipped)) => read_segmented(dir, gen, entries, skipped),
-        None => {
-            if wal_path(dir).exists() {
-                read_legacy(dir)
-            } else {
-                Err(StoreError::NotFound(wal_path(dir)))
-            }
-        }
+        None => Err(StoreError::NotFound(wal_dir(dir))),
     }
-}
-
-fn read_legacy(dir: &Path) -> Result<WalContents, StoreError> {
-    let path = wal_path(dir);
-    let buf = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::NotFound(path))
-        }
-        Err(e) => return Err(StoreError::io(&path, e)),
-    };
-
-    // Header record: must be intact, or the store is unusable.
-    let (sources, offset) = match read_record(&buf, 0) {
-        Some(RawRecord::Complete { payload, end }) => {
-            let sources = decode_header(&payload)
-                .map_err(|m| StoreError::corrupt(&path, format!("header: {m}")))?;
-            (sources, end)
-        }
-        None => return Err(StoreError::corrupt(&path, "empty file (no header)")),
-        Some(_) => return Err(StoreError::corrupt(&path, "unreadable header record")),
-    };
-
-    let scan = scan_rows(&buf, offset, sources.len(), 0);
-    let segments = vec![SegmentInfo {
-        seq: 0,
-        path,
-        first_row: 0,
-        rows: scan.rows.len() as u64,
-        bytes: buf.len() as u64,
-    }];
-    Ok(WalContents {
-        sources,
-        rows: scan.rows,
-        tail: scan.tail,
-        valid_len: scan.valid_len,
-        base_rows: 0,
-        segments,
-        skipped_manifests: Vec::new(),
-        resumable: true,
-        layout: ContentsLayout::Legacy,
-    })
 }
 
 fn read_segmented(
@@ -1113,7 +947,8 @@ fn read_segmented(
         segments,
         skipped_manifests,
         resumable,
-        layout: ContentsLayout::Segmented { gen, entries },
+        gen,
+        entries,
     })
 }
 
@@ -1132,18 +967,6 @@ mod tests {
             vec![None, Some(Value::text("x"))],
             vec![Some(Value::Float(2.5)), Some(Value::vector(vec![1.0, 2.0]))],
         ]
-    }
-
-    /// A store in the pre-segmentation single-file layout, built by
-    /// demoting a fresh segmented store (the framing is identical).
-    fn make_legacy(dir: &Path, rows: &[Row]) {
-        let mut w = WalWriter::create(dir, &sources()).unwrap();
-        for row in rows {
-            w.append_row(row).unwrap();
-        }
-        drop(w);
-        std::fs::rename(segment_path(dir, 1), wal_path(dir)).unwrap();
-        std::fs::remove_dir_all(wal_dir(dir)).unwrap();
     }
 
     #[test]
@@ -1238,14 +1061,30 @@ mod tests {
     }
 
     #[test]
-    fn refuses_to_overwrite_legacy_store() {
-        let dir = test_dir("wal-exists-legacy");
-        make_legacy(&dir, &sample_rows());
-        assert!(store_exists(&dir));
+    fn single_file_log_is_refused_never_read_or_shadowed() {
+        // An earlier release's store: the same framing, but in one
+        // `wal.log` with no manifest.
+        let old = test_dir("wal-single-file-src");
+        let mut w = WalWriter::create(&old, &sources()).unwrap();
+        for row in sample_rows() {
+            w.append_row(&row).unwrap();
+        }
+        drop(w);
+        let dir = test_dir("wal-single-file");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(segment_path(&old, 1), dir.join("wal.log")).unwrap();
+
+        assert!(!store_exists(&dir));
+        assert!(matches!(read_wal(&dir), Err(StoreError::Corrupt { .. })));
+        assert!(matches!(
+            crate::Recovery::open(&dir),
+            Err(StoreError::Corrupt { .. })
+        ));
         assert!(matches!(
             WalWriter::create(&dir, &sources()),
-            Err(StoreError::AlreadyExists(_))
+            Err(StoreError::Corrupt { .. })
         ));
+        assert!(!wal_dir(&dir).exists(), "no fresh store beside it");
     }
 
     #[test]
@@ -1351,7 +1190,8 @@ mod tests {
         let contents = read_wal(&dir).unwrap();
         assert_eq!(contents.rows.len(), 2);
         assert!(matches!(contents.tail, WalTail::Torn { .. }));
-        let mut w = WalWriter::resume_contents(&dir, &contents, opts).unwrap();
+        let rec = crate::Recovery::open(&dir).unwrap();
+        let mut w = rec.append_writer_with(opts).unwrap();
         assert_eq!(w.rows(), 2);
         w.append_row(&[Some(Value::Int(9)), None]).unwrap();
         drop(w);
@@ -1385,7 +1225,8 @@ mod tests {
             "tail: {:?}",
             contents.tail
         );
-        assert!(WalWriter::resume_contents(&dir, &contents, opts).is_err());
+        let rec = crate::Recovery::open(&dir).unwrap();
+        assert!(rec.append_writer_with(opts).is_err());
     }
 
     #[test]
@@ -1488,32 +1329,6 @@ mod tests {
             "tail: {:?}",
             c.tail
         );
-    }
-
-    #[test]
-    fn legacy_store_reads_and_resumes() {
-        let dir = test_dir("wal-legacy");
-        make_legacy(&dir, &sample_rows());
-        let c = read_wal(&dir).unwrap();
-        assert_eq!(c.rows, sample_rows());
-        assert_eq!(c.tail, WalTail::Clean);
-        assert_eq!(c.segments.len(), 1);
-        assert_eq!(c.segments[0].seq, 0);
-
-        // Tear the last record; legacy resume truncates and appends.
-        let path = wal_path(&dir);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let c = read_wal(&dir).unwrap();
-        assert_eq!(c.rows.len(), 2);
-        let mut w = WalWriter::resume(&dir, c.valid_len, c.rows.len() as u64).unwrap();
-        w.append_row(&[Some(Value::Int(9)), None]).unwrap();
-        assert_eq!(w.rows(), 3);
-        drop(w);
-        let c = read_wal(&dir).unwrap();
-        assert_eq!(c.tail, WalTail::Clean);
-        assert_eq!(c.rows.len(), 3);
-        assert_eq!(c.rows[2], vec![Some(Value::Int(9)), None]);
     }
 
     #[test]

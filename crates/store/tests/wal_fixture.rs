@@ -7,9 +7,10 @@
 //! 1. the current writer, staging the same epochs, produces a
 //!    byte-identical file — the framing never drifts, so stores written
 //!    by any revision restore under any other;
-//! 2. the committed fixture replays through the `Recovery` loader
-//!    exactly — an *old* store opened by the *new* code yields the same
-//!    rows, tail state and resume point.
+//! 2. the committed fixture, installed as segment 1 of a store,
+//!    replays through the `Recovery` loader exactly — a segment written
+//!    by *old* code, opened by the *new* code, yields the same rows,
+//!    tail state and resume point.
 //!
 //! If this test fails, the on-disk format changed: that is a recovery
 //! break for every existing store, not a refactor detail.
@@ -82,8 +83,6 @@ fn test_dir(name: &str) -> PathBuf {
 fn staging_path_reproduces_committed_fixture_bytes() {
     let dir = test_dir("write");
     write_store(&dir);
-    // The fixture predates segmentation, but a segment's bytes are
-    // identical to the old single file: same header, same frames.
     let written = std::fs::read(ec_store::segment_path(&dir, 1)).unwrap();
 
     let fixture = fixture_path();
@@ -110,11 +109,11 @@ fn staging_path_reproduces_committed_fixture_bytes() {
 
 #[test]
 fn committed_fixture_replays_under_recovery_loader() {
-    // Copy the committed fixture into a store directory and open it the
-    // way a restored runtime would.
+    // Install the committed fixture as the first (and only) segment of
+    // a fresh store and open it the way a restored runtime would.
     let dir = test_dir("replay");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::copy(fixture_path(), ec_store::wal_path(&dir)).unwrap();
+    drop(WalWriter::create(&dir, &fixture_sources()).unwrap());
+    std::fs::copy(fixture_path(), ec_store::segment_path(&dir, 1)).unwrap();
 
     let expected_rows: Vec<Vec<Option<Value>>> = fixture_epochs().into_iter().flatten().collect();
 

@@ -1698,14 +1698,6 @@ fn store_inspect(dir: &std::path::Path) -> Result<(), String> {
 
     let rec = Recovery::open(dir).map_err(|e| e.to_string())?;
     println!("store {}:", dir.display());
-    println!(
-        "  layout: {}",
-        if rec.is_segmented() {
-            "segmented"
-        } else {
-            "legacy single-file"
-        }
-    );
     println!("  sources: {:?}", rec.sources);
     println!(
         "  committed phases: {} ({} compacted away)",

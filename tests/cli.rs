@@ -345,7 +345,7 @@ fn store_inspect_verify_compact() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // inspect shows the segmented layout end to end.
+    // inspect shows the segments end to end.
     let out = ec(&["store", dir, "inspect"]);
     assert!(
         out.status.success(),
@@ -353,7 +353,6 @@ fn store_inspect_verify_compact() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("layout: segmented"), "{text}");
     assert!(text.contains("committed phases: 3"), "{text}");
     assert!(text.contains("seg-000000000001.log"), "{text}");
     assert!(text.contains("resumable at phase 4"), "{text}");
