@@ -24,6 +24,19 @@
 //!   lock to read inputs before executing.
 //! * Module panics are caught and turn the run into an error instead of
 //!   a hang.
+//! * A task is a **phase run** `(v, p_1 < … < p_k)`, not one pair: every
+//!   phase in which `v` was full when it was promoted (see
+//!   `SchedState::try_promote`). The worker executes the run in phase
+//!   order under one vertex-lock hold, one `catch_unwind` and one clock
+//!   read per phase, then publishes all `k` finishes in one critical
+//!   section (`SchedState::finish_run`) — Listing 1's loop body once
+//!   per run instead of once per pair. Each vertex still executes its
+//!   phases in the oracle's order. Run boundaries come from measured
+//!   time only: a segment that passes `RUN_BUDGET` (5 µs) publishes
+//!   what it finished and pushes the rest back onto the worker's own
+//!   shard, and a vertex whose last phase took at least that long
+//!   claims one phase at a time, so slow stages keep the per-phase
+//!   hand-off that lets a second worker pipeline them.
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::error::EngineError;
@@ -49,6 +62,14 @@ use std::time::{Duration, Instant};
 /// exec histograms stay exact regardless. A ring write per vertex
 /// execution is the recorder's dominant cost at full throughput.
 const EXEC_SAMPLE_MASK: u64 = 7;
+
+/// Time budget of one run segment. A worker stops a run once the
+/// segment has taken this long, and a vertex whose last phase took at
+/// least this long claims one phase per task. Set at several times the
+/// fixed cost of publishing one execution (~0.75 µs), so runs amortize
+/// that cost for light operators while stages slow enough to be worth
+/// pipelining keep their per-phase hand-off.
+pub(crate) const RUN_BUDGET: Duration = Duration::from_micros(5);
 
 /// Configuration for [`Engine`] construction.
 pub struct EngineBuilder {
@@ -330,6 +351,26 @@ impl TracedPhases {
     }
 }
 
+/// One executed phase of a run, waiting to be recorded and published.
+struct Executed {
+    phase: u64,
+    routed: RoutedEmission,
+    /// Clock read right after the phase: the end of its execution and
+    /// the start of the next one.
+    ended: Instant,
+}
+
+/// Scratch a worker reuses across tasks, so steady-state execution
+/// allocates nothing of its own: the transition written by
+/// `finish_run`, the translated-inputs buffer and the executed phases
+/// of the current run.
+#[derive(Default)]
+pub(crate) struct WorkerScratch {
+    transition: Transition,
+    fresh: Vec<(VertexId, Value)>,
+    done: Vec<Executed>,
+}
+
 /// Everything shared between worker threads, the environment thread and
 /// the caller.
 ///
@@ -405,9 +446,6 @@ impl Shared {
     /// locality); admission paths pass `None` (the engine's injector
     /// lane).
     pub(crate) fn enqueue_all(&self, transition: &mut Transition, worker: Option<usize>) {
-        self.metrics
-            .enqueued
-            .fetch_add(transition.tasks.len() as u64, Relaxed);
         let mut refused = false;
         for task in transition.tasks.drain(..) {
             refused |= !self.queue.enqueue(task, worker);
@@ -537,10 +575,7 @@ impl Shared {
     pub(crate) fn worker_loop(&self, worker: usize) {
         // Private steal-RNG state; any per-worker nonzero seed works.
         let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ ((worker as u64 + 1) << 17);
-        // Reusable scratch: the transition written by finish_execution
-        // and the translated-inputs buffer, allocated once per worker.
-        let mut transition = Transition::default();
-        let mut fresh: Vec<(VertexId, Value)> = Vec::new();
+        let mut scratch = WorkerScratch::default();
         loop {
             let task = match self.queue.dequeue(worker, &mut seed) {
                 Dequeued::Closed => return,
@@ -549,76 +584,80 @@ impl Shared {
             if self.failed_fast.load(Relaxed) {
                 continue; // drain without executing
             }
-            self.run_task(task, worker, &mut transition, &mut fresh);
+            self.run_task(task, worker, &mut scratch);
         }
     }
 
-    /// Executes one dequeued task and applies its scheduler transition
-    /// — the per-task body of Listing 1, shared by private workers and
-    /// the multi-tenant pool dispatch ([`crate::multi`]). `transition`
-    /// and `fresh` are caller-owned scratch reused across tasks.
-    pub(crate) fn run_task(
-        &self,
-        task: Task,
-        worker: usize,
-        transition: &mut Transition,
-        fresh: &mut Vec<(VertexId, Value)>,
-    ) {
-        let Task { idx, phase, inputs } = task;
+    /// Executes one dequeued phase run and publishes its scheduler
+    /// transition — the per-task body of Listing 1, shared by private
+    /// workers and the multi-tenant pool dispatch ([`crate::multi`]).
+    ///
+    /// The run's phases execute in order under one vertex-lock hold
+    /// until the run ends or the segment passes [`RUN_BUDGET`]; the
+    /// executed prefix is published under one state-lock hold, and an
+    /// unexecuted remainder (still claimed) goes back onto this
+    /// worker's shard, after the tasks the publish made ready.
+    pub(crate) fn run_task(&self, task: Task, worker: usize, scratch: &mut WorkerScratch) {
+        let WorkerScratch {
+            transition,
+            fresh,
+            done,
+        } = scratch;
+        let Task {
+            idx,
+            phase,
+            inputs,
+            mut rest,
+        } = task;
         let slot_pos = (idx - 1) as usize;
-        let phase_t = Phase(phase);
+        done.clear();
 
-        // Statement 1.3: execute the computation, outside the lock.
+        // Statement 1.3, once per phase of the run: execute outside the
+        // global lock.
         let depth = self.gauge.enter(phase);
-        self.metrics.sample_concurrent_phases(depth);
-        let exec_start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        let start = Instant::now();
+        let mut next = 0; // rest[next..] is not executed yet
+        let mut current = phase;
+        let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
             let mut slot = self.vertices[slot_pos].lock();
-            // The task owns its inputs: translate indices by value
-            // instead of cloning every message payload.
-            fresh.clear();
-            fresh.extend(
-                inputs
-                    .into_iter()
-                    .map(|(i, v)| (self.numbering.vertex_at(i), v)),
-            );
-            let emission = slot.execute(phase_t, fresh.as_slice());
-            route_emission(
-                emission,
-                slot.is_sink,
-                slot.vertex_id,
-                &self.succs_idx[slot_pos],
-                &self.numbering,
-            )
-        }));
-        let exec_end = Instant::now();
-        let exec_nanos = exec_end.saturating_duration_since(exec_start).as_nanos() as u64;
-        self.metrics.exec_nanos.fetch_add(exec_nanos, Relaxed);
-        self.exec_hist.record(worker, exec_nanos);
-        if let Some(r) = &self.recorder {
-            // Exec spans are sampled 1-in-8: the histograms above stay
-            // exact, but a ring write per vertex execution is the
-            // single largest recorder cost at full throughput. Reuse
-            // the exec-end read — recording costs a ring write, not
-            // another clock read.
-            if (phase ^ idx as u64) & EXEC_SAMPLE_MASK == 0 || self.traced.contains(phase) {
-                r.record_span_ending(
-                    worker + 1,
-                    SpanKind::Exec,
-                    phase,
-                    idx as u64,
-                    exec_nanos,
-                    exec_end,
+            let mut inputs = inputs;
+            loop {
+                let p = current;
+                // The task owns its inputs: translate indices by value
+                // instead of cloning every message payload.
+                fresh.clear();
+                fresh.extend(
+                    inputs
+                        .into_iter()
+                        .map(|(i, v)| (self.numbering.vertex_at(i), v)),
                 );
+                let emission = slot.execute(Phase(p), fresh.as_slice());
+                let routed = route_emission(
+                    emission,
+                    slot.is_sink,
+                    slot.vertex_id,
+                    &self.succs_idx[slot_pos],
+                    &self.numbering,
+                )?;
+                let ended = Instant::now();
+                done.push(Executed {
+                    phase: p,
+                    routed,
+                    ended,
+                });
+                if next == rest.len() || ended.saturating_duration_since(start) >= RUN_BUDGET {
+                    return Ok(());
+                }
+                (current, inputs) = std::mem::take(&mut rest[next]);
+                next += 1;
             }
-        }
+        }));
         self.gauge.exit(phase);
-
-        let routed = match result {
+        match result {
             Err(payload) => {
                 self.fail(EngineError::ModulePanic {
                     vertex: self.numbering.vertex_at(idx),
-                    phase,
+                    phase: current,
                     message: payload_to_string(&payload),
                 });
                 return;
@@ -627,32 +666,66 @@ impl Shared {
                 self.fail(e);
                 return;
             }
-            Ok(Ok(routed)) => routed,
-        };
-        let RoutedEmission {
-            messages,
-            sink_value,
-            recorded,
-        } = routed;
-        let had_sink = sink_value.is_some();
+            Ok(Ok(())) => {}
+        }
 
-        self.record(idx, phase_t, recorded, sink_value);
+        let executed = done.len() as u64;
+        let mut prev = start;
+        let mut last_nanos = 0;
+        let (mut messages, mut silent, mut sinks) = (0u64, 0u64, 0u64);
+        for e in done.iter() {
+            last_nanos = e.ended.saturating_duration_since(prev).as_nanos() as u64;
+            if let Some(r) = &self.recorder {
+                // Exec spans are sampled 1-in-8: the histograms stay
+                // exact, but a ring write per vertex execution is the
+                // single largest recorder cost at full throughput.
+                if (e.phase ^ idx as u64) & EXEC_SAMPLE_MASK == 0 || self.traced.contains(e.phase) {
+                    r.record_span_ending(
+                        worker + 1,
+                        SpanKind::Exec,
+                        e.phase,
+                        idx as u64,
+                        last_nanos,
+                        e.ended,
+                    );
+                }
+            }
+            prev = e.ended;
+            let sent = e.routed.messages.len() as u64;
+            let sink = e.routed.sink_value.is_some();
+            messages += sent;
+            sinks += sink as u64;
+            silent += (sent == 0 && !sink) as u64;
+        }
+        let exec_nanos = prev.saturating_duration_since(start).as_nanos() as u64;
+        self.metrics.exec_nanos.fetch_add(exec_nanos, Relaxed);
+        self.exec_hist
+            .record_n(worker, exec_nanos / executed, executed);
+        self.metrics.sample_concurrent_phases(depth, executed);
+        let slow = last_nanos >= RUN_BUDGET.as_nanos() as u64;
 
-        // Statements 1.4–1.31: update the shared structures under the
-        // global lock.
+        self.record_run(idx, done, sinks > 0);
+
+        // Statements 1.4–1.31 for every executed phase: update the
+        // shared structures under one hold of the global lock.
         let wait_start = Instant::now();
         let mut st = self.state.lock();
-        self.metrics
-            .lock_wait_nanos
-            .fetch_add(wait_start.elapsed().as_nanos() as u64, Relaxed);
+        let locked = Instant::now();
+        self.metrics.lock_wait_nanos.fetch_add(
+            locked.saturating_duration_since(wait_start).as_nanos() as u64,
+            Relaxed,
+        );
         self.metrics.lock_acquisitions.fetch_add(1, Relaxed);
         if st.failed.is_some() {
             return;
         }
-        let crit_start = Instant::now();
-        let message_count = messages.len() as u64;
         transition.reset();
-        st.finish_execution(idx, phase, messages, transition);
+        st.mark_slow(idx, slow);
+        st.finish_run(
+            idx,
+            done.drain(..).map(|e| (e.phase, e.routed.messages)),
+            transition,
+        );
         if self.check_invariants {
             if let Err(msg) = st.check_invariants() {
                 drop(st);
@@ -668,20 +741,34 @@ impl Shared {
         };
         self.metrics
             .critical_nanos
-            .fetch_add(crit_start.elapsed().as_nanos() as u64, Relaxed);
+            .fetch_add(locked.elapsed().as_nanos() as u64, Relaxed);
         drop(st);
-        // Enqueue outside the lock: ready tasks are already claimed in
+        // The unexecuted rest of the run stays claimed; enqueued last,
+        // it is the next item this worker's LIFO shard hands out.
+        if next < rest.len() {
+            let (phase, inputs) = std::mem::take(&mut rest[next]);
+            rest.drain(..=next);
+            transition.tasks.push(Task {
+                idx,
+                phase,
+                inputs,
+                rest,
+            });
+        }
+        // Enqueue outside the lock: ready runs are already claimed in
         // the scheduler state (at most one per vertex), so publication
         // order does not matter — but lock hold time does.
         self.enqueue_all(transition, Some(worker));
 
-        self.metrics.executions.fetch_add(1, Relaxed);
-        self.metrics.messages_sent.fetch_add(message_count, Relaxed);
-        if message_count == 0 && !had_sink {
-            self.metrics.silent_executions.fetch_add(1, Relaxed);
+        self.metrics.executions.fetch_add(executed, Relaxed);
+        if messages > 0 {
+            self.metrics.messages_sent.fetch_add(messages, Relaxed);
         }
-        if had_sink {
-            self.metrics.sink_outputs.fetch_add(1, Relaxed);
+        if silent > 0 {
+            self.metrics.silent_executions.fetch_add(silent, Relaxed);
+        }
+        if sinks > 0 {
+            self.metrics.sink_outputs.fetch_add(sinks, Relaxed);
         }
         if completed > 0 {
             self.metrics.phases_completed.fetch_add(completed, Relaxed);
@@ -690,32 +777,35 @@ impl Shared {
         }
     }
 
-    /// Records an execution into the history and the live sink buffer.
-    /// Takes the emission by value: broadcast fan-out already shares
-    /// payload buffers (`Value`'s heap variants are `Arc`-backed), and
-    /// moving here avoids re-cloning the record on every execution.
-    fn record(
-        &self,
-        idx: Idx,
-        phase: Phase,
-        recorded: RecordedEmission,
-        sink_value: Option<Value>,
-    ) {
+    /// Records a run's executions into the history and, if any phase
+    /// delivered a sink value, the live sink buffer — one lock hold
+    /// each per run. Moves the records out of `done`: broadcast fan-out
+    /// already shares payload buffers (`Value`'s heap variants are
+    /// `Arc`-backed), so nothing is re-cloned per execution.
+    fn record_run(&self, idx: Idx, done: &mut [Executed], has_sinks: bool) {
+        let vertex = self.numbering.vertex_at(idx);
         if self.record_history {
             let mut guard = self.history.lock();
             if let Some(history) = guard.as_mut() {
-                let vertex = self.numbering.vertex_at(idx);
-                history.record(vertex, phase, recorded);
-                if let Some(v) = &sink_value {
-                    history.record_sink(vertex, phase, v.clone());
+                for e in done.iter_mut() {
+                    let phase = Phase(e.phase);
+                    let recorded =
+                        std::mem::replace(&mut e.routed.recorded, RecordedEmission::Silent);
+                    history.record(vertex, phase, recorded);
+                    if let Some(v) = &e.routed.sink_value {
+                        history.record_sink(vertex, phase, v.clone());
+                    }
                 }
             }
         }
-        if let Some(v) = sink_value {
+        if has_sinks {
             let mut guard = self.live_sinks.lock();
             if let Some(pending) = guard.as_mut() {
-                let vertex = self.numbering.vertex_at(idx);
-                pending.insert((phase.get(), vertex), v);
+                for e in done.iter_mut() {
+                    if let Some(v) = e.routed.sink_value.take() {
+                        pending.insert((e.phase, vertex), v);
+                    }
+                }
             }
         }
     }
@@ -873,7 +963,7 @@ impl Engine {
         }
         let failed = self.shared.state.lock().failed.clone();
         if let Some(msg) = failed {
-            return Err(parse_failure(msg));
+            return Err(EngineError::WorkerPanic(msg));
         }
 
         let history = {
@@ -954,12 +1044,6 @@ impl Engine {
             None => crate::live::LiveEngine::spawn(self.shared, self.threads, self.max_inflight),
         }
     }
-}
-
-/// Failure messages cross the thread boundary as strings; recover the
-/// structured error where possible.
-fn parse_failure(msg: String) -> EngineError {
-    EngineError::WorkerPanic(msg)
 }
 
 #[cfg(test)]
@@ -1127,6 +1211,29 @@ mod tests {
         assert_eq!(report.metrics.messages_sent, 20); // 2 edges × 10
         assert_eq!(report.metrics.sink_outputs, 10);
         assert!(report.metrics.max_concurrent_phases >= 1);
+    }
+
+    #[test]
+    fn run_metrics_keep_per_execution_meaning() {
+        // One worker, phases admitted eight at a time: vertices execute
+        // phase runs, but every instrument still counts executions.
+        let live = counter_chain_engine(3, 1).into_live();
+        for _ in 0..4 {
+            assert_eq!(live.admit_batch(8).unwrap(), 8);
+        }
+        let m = live.shutdown().unwrap().metrics;
+        assert_eq!(m.executions, 3 * 32);
+        assert_eq!(m.messages_sent, 2 * 32);
+        assert_eq!(m.sink_outputs, 32);
+        assert_eq!(m.silent_executions, 0);
+        assert_eq!(m.latency.exec.count(), m.executions);
+        assert_eq!(m.concurrent_phase_samples, m.executions);
+        assert!(
+            m.lock_acquisitions < m.executions,
+            "{} publishes for {} executions: no runs formed",
+            m.lock_acquisitions,
+            m.executions
+        );
     }
 
     #[test]

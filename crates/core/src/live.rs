@@ -209,28 +209,25 @@ impl LiveEngine {
         // is emitted after the lock drops so the recorder never sits
         // on the admission serial section.
         let admitted_at = Instant::now();
-        let mut first_phase = 0;
+        let numbering = &self.shared.numbering;
+        let first_phase = st.next();
+        // Open every phase of the batch, then promote the sources once:
+        // each active source claims all of its batch phases as one run
+        // (or, if it is mid-run, its next claim picks them up).
         for offset in 0..batch {
-            let phase = match is_silent.as_mut() {
-                Some(is_silent) => {
-                    let numbering = &self.shared.numbering;
-                    st.start_phase_filtered(&mut transition, |s| {
-                        !is_silent(offset, numbering.vertex_at(s))
-                    })
-                }
-                None => st.start_phase(&mut transition),
-            };
-            if offset == 0 {
-                first_phase = phase;
-            }
+            let phase = st.open_phase(&mut transition, |s| match is_silent.as_mut() {
+                Some(is_silent) => !is_silent(offset, numbering.vertex_at(s)),
+                None => true,
+            });
             self.shared.stamp_admitted(phase, admitted_at);
-            if self.shared.check_invariants {
-                if let Err(msg) = st.check_invariants() {
-                    drop(st);
-                    let error = EngineError::InvariantViolation(msg);
-                    self.shared.fail(error.clone());
-                    return Err(error);
-                }
+        }
+        st.promote_sources(&mut transition);
+        if self.shared.check_invariants {
+            if let Err(msg) = st.check_invariants() {
+                drop(st);
+                let error = EngineError::InvariantViolation(msg);
+                self.shared.fail(error.clone());
+                return Err(error);
             }
         }
         let completed = transition.phases_completed;
@@ -778,6 +775,94 @@ mod tests {
         release_tx.send(()).unwrap();
         assert_eq!(live.wait_idle().unwrap(), 3);
         live.shutdown().unwrap();
+    }
+
+    #[test]
+    fn admit_batch_claims_one_run_per_source() {
+        use crate::module::{Emission, ExecCtx, FnModule};
+        use std::sync::mpsc;
+
+        // Two counter sources feed a sink that sums its fresh inputs.
+        // In phase 1 the sink parks the only worker until released, so
+        // the batch admitted meanwhile stays visible in the queue.
+        let dag = {
+            let mut d = ec_graph::Dag::new();
+            let a = d.add_vertex("a");
+            let b = d.add_vertex("b");
+            let sink = d.add_vertex("sink");
+            d.add_edge(a, sink).unwrap();
+            d.add_edge(b, sink).unwrap();
+            d
+        };
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new((entered_tx, release_rx));
+        let modules: Vec<Box<dyn Module>> = vec![
+            Box::new(SourceModule::new(Counter::new())),
+            Box::new(SourceModule::new(Counter::new())),
+            Box::new(FnModule::new("gated-sum", move |ctx: ExecCtx<'_>| {
+                if ctx.phase == Phase(1) {
+                    let gate = gate.lock().unwrap();
+                    gate.0.send(()).unwrap();
+                    gate.1.recv().unwrap();
+                }
+                let sum = ctx.inputs.fresh.iter().map(|(_, v)| v.as_i64().unwrap());
+                Emission::Broadcast(Value::Int(sum.sum()))
+            })),
+        ];
+        let live = Engine::builder(dag, modules)
+            .threads(1)
+            .check_invariants(true)
+            .build()
+            .unwrap()
+            .into_live();
+        live.admit().unwrap();
+        entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(live.admit_batch(8).unwrap(), 8);
+        assert_eq!(
+            live.metrics().scheduler.injector_depth,
+            2,
+            "a sealed batch is one task per source"
+        );
+        release_tx.send(()).unwrap();
+        assert_eq!(live.wait_idle().unwrap(), 9);
+        let report = live.shutdown().unwrap();
+        assert_eq!(report.metrics.executions, 27);
+        let sink = live.numbering().vertex_at(3);
+        let outs: Vec<(u64, i64)> = report
+            .history
+            .unwrap()
+            .sink_outputs_of(sink)
+            .iter()
+            .map(|(p, v)| (p.get(), v.as_i64().unwrap()))
+            .collect();
+        assert_eq!(outs, (1..=9).map(|p| (p, 2 * p as i64)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn panic_mid_run_surfaces_and_drains() {
+        use crate::module::{Emission, ExecCtx, FnModule};
+        // The source claims the whole 8-phase batch as one run and
+        // panics on its 3rd phase.
+        let dag = generators::chain(2);
+        let modules: Vec<Box<dyn Module>> = vec![
+            Box::new(FnModule::new("bomb", |ctx: ExecCtx<'_>| {
+                if ctx.phase == Phase(3) {
+                    panic!("mid-run failure");
+                }
+                Emission::Broadcast(Value::Int(ctx.phase.get() as i64))
+            })),
+            Box::new(PassThrough),
+        ];
+        let live = Engine::builder(dag, modules)
+            .threads(2)
+            .build()
+            .unwrap()
+            .into_live();
+        assert_eq!(live.admit_batch(8).unwrap(), 8);
+        let err = live.wait_idle().unwrap_err();
+        assert!(matches!(err, EngineError::WorkerPanic(msg) if msg.contains("mid-run failure")));
+        assert!(live.shutdown().is_err());
     }
 
     #[test]

@@ -26,13 +26,13 @@ pub struct Metrics {
     pub messages_sent: AtomicU64,
     /// Values delivered to the outside world by sinks.
     pub sink_outputs: AtomicU64,
-    /// Vertex-phase pairs enqueued on the run queue.
-    pub enqueued: AtomicU64,
     /// Phases started by the environment process.
     pub phases_started: AtomicU64,
     /// Phases whose `x_p` reached `N`.
     pub phases_completed: AtomicU64,
-    /// Acquisitions of the global scheduler lock.
+    /// Acquisitions of the global scheduler lock to publish finished
+    /// executions: one per phase run, so `executions /
+    /// lock_acquisitions` is the mean run length.
     pub lock_acquisitions: AtomicU64,
     /// Total nanoseconds spent waiting to acquire the scheduler lock.
     pub lock_wait_nanos: AtomicU64,
@@ -55,10 +55,11 @@ impl Metrics {
         Self::default()
     }
 
-    /// Adds one concurrent-phase depth sample and updates the maximum.
-    pub fn sample_concurrent_phases(&self, depth: u64) {
-        self.concurrent_phase_sum.fetch_add(depth, Relaxed);
-        self.concurrent_phase_samples.fetch_add(1, Relaxed);
+    /// Adds `weight` concurrent-phase depth samples (one per phase of a
+    /// run that started at this depth) and updates the maximum.
+    pub fn sample_concurrent_phases(&self, depth: u64, weight: u64) {
+        self.concurrent_phase_sum.fetch_add(depth * weight, Relaxed);
+        self.concurrent_phase_samples.fetch_add(weight, Relaxed);
         self.max_concurrent_phases.fetch_max(depth, Relaxed);
     }
 
@@ -78,7 +79,6 @@ impl Metrics {
             silent_executions: self.silent_executions.load(Relaxed),
             messages_sent: self.messages_sent.load(Relaxed),
             sink_outputs: self.sink_outputs.load(Relaxed),
-            enqueued: self.enqueued.load(Relaxed),
             phases_started: self.phases_started.load(Relaxed),
             phases_completed: self.phases_completed.load(Relaxed),
             lock_acquisitions: self.lock_acquisitions.load(Relaxed),
@@ -221,13 +221,13 @@ pub struct MetricsSnapshot {
     pub messages_sent: u64,
     /// Values produced by sinks.
     pub sink_outputs: u64,
-    /// Pairs enqueued on the run queue.
-    pub enqueued: u64,
     /// Phases started.
     pub phases_started: u64,
     /// Phases completed.
     pub phases_completed: u64,
-    /// Scheduler-lock acquisitions.
+    /// Scheduler-lock acquisitions that published executions (one per
+    /// phase run; `executions / lock_acquisitions` is the mean run
+    /// length).
     pub lock_acquisitions: u64,
     /// Nanoseconds spent waiting for the scheduler lock.
     pub lock_wait_nanos: u64,
@@ -252,7 +252,8 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Mean number of distinct phases executing concurrently, sampled at
-    /// each execution start.
+    /// each run start and weighted by the run's phase count, so the
+    /// mean stays per execution.
     pub fn mean_concurrent_phases(&self) -> f64 {
         if self.concurrent_phase_samples == 0 {
             0.0
@@ -301,7 +302,7 @@ impl MetricsSnapshot {
         };
         format!(
             "{{\"executions\":{},\"silent_executions\":{},\"messages_sent\":{},\
-             \"sink_outputs\":{},\"enqueued\":{},\"phases_started\":{},\"phases_completed\":{},\
+             \"sink_outputs\":{},\"phases_started\":{},\"phases_completed\":{},\
              \"lock_acquisitions\":{},\"lock_wait_nanos\":{},\"exec_nanos\":{},\
              \"critical_nanos\":{},\"max_concurrent_phases\":{},\"mean_concurrent_phases\":{:.3},\
              \"silent_fraction\":{:.4},\"bookkeeping_ratio\":{:.4},\
@@ -314,7 +315,6 @@ impl MetricsSnapshot {
             self.silent_executions,
             self.messages_sent,
             self.sink_outputs,
-            self.enqueued,
             self.phases_started,
             self.phases_completed,
             self.lock_acquisitions,
@@ -458,11 +458,16 @@ mod tests {
     #[test]
     fn concurrent_phase_stats() {
         let m = Metrics::new();
-        m.sample_concurrent_phases(2);
-        m.sample_concurrent_phases(4);
+        m.sample_concurrent_phases(2, 1);
+        m.sample_concurrent_phases(4, 1);
         let s = m.snapshot_with(SchedulerCounters::default(), LatencyStats::default());
         assert_eq!(s.max_concurrent_phases, 4);
         assert!((s.mean_concurrent_phases() - 3.0).abs() < 1e-12);
+        // A two-phase run at depth 1 counts as two executions.
+        m.sample_concurrent_phases(1, 2);
+        let s = m.snapshot_with(SchedulerCounters::default(), LatencyStats::default());
+        assert_eq!(s.concurrent_phase_samples, 4);
+        assert!((s.mean_concurrent_phases() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,13 +32,11 @@
 //! (`admit` / `admit_batch`); the batch [`run`](crate::Engine::run)
 //! entry point refuses, since it owns its own worker lifecycle.
 
-use crate::engine::Shared;
+use crate::engine::{Shared, WorkerScratch};
 use crate::error::EngineError;
 use crate::pool::WorkerPool;
 use crate::shard::{Dequeued, ShardedQueue};
-use crate::state::{Task, Transition};
-use ec_events::Value;
-use ec_graph::VertexId;
+use crate::state::Task;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -186,8 +184,7 @@ impl PoolInner {
     /// exactly as a private pool would.
     fn worker_loop(&self, worker: usize) {
         let mut seed = 0xA076_1D64_78BD_642Fu64 ^ ((worker as u64 + 1) << 21);
-        let mut transition = Transition::default();
-        let mut fresh: Vec<(VertexId, Value)> = Vec::new();
+        let mut scratch = WorkerScratch::default();
         // Dispatch cache: tasks arrive in per-tenant bursts (LIFO
         // locality), so remember the last resolved tenant. Keying by
         // `(tenant, generation)` means a hit can never hand a task to
@@ -237,7 +234,7 @@ impl PoolInner {
             if shared.failed_fast() {
                 continue; // drain this tenant without executing
             }
-            shared.run_task(tagged.task, worker, &mut transition, &mut fresh);
+            shared.run_task(tagged.task, worker, &mut scratch);
         }
     }
 

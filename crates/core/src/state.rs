@@ -9,8 +9,7 @@
 //! * the **full** set — pairs with sufficient information to execute
 //!   (`x_p < v ≤ m(x_p)` and a waiting message);
 //! * the **ready** set — full pairs whose phase is minimal among the
-//!   full pairs of their vertex (at most one per vertex, so it is stored
-//!   as a per-vertex `Option<phase>`);
+//!   full pairs of their vertex (at most one per vertex);
 //! * the per-phase frontier `x_p` — the highest index such that
 //!   `x_p ≤ x_{p−1}` and all vertices indexed `x_p` and lower have
 //!   finished phase `p`;
@@ -38,11 +37,27 @@
 //! used in tests re-derives every set from the raw definitions and
 //! compares.
 //!
+//! **Run claims.** Promoting a vertex to the ready set hands a worker
+//! not one pair but a *phase run* `(v, p_1 < … < p_k)`: every phase in
+//! which `v` is full at that moment, or just `p_1` if the engine marked
+//! `v` slow. Full phases are active phases, so the engine's in-flight
+//! window bounds a run's length. No new rule is involved. A full pair
+//! has every predecessor finished for its phase, so its inputs are
+//! complete, and a vertex's full phases are exactly the phases it must
+//! execute next, in order.
+//! The ready pair stays `(v, p_1)`, the minimal full phase; as the
+//! worker publishes a prefix of the run, the ready pair moves to the
+//! run's next phase, and only once the last one is published can `v`
+//! be promoted again. A phase that becomes full while `v` is mid-run is
+//! therefore never absorbed into that run: it starts the next claim.
+//! [`SchedState::finish_run`] publishes any prefix of a run under one
+//! lock hold, with a single x-scan and promotion pass.
+//!
 //! The paper's ghost variable `msg(v,p)` corresponds to membership in
 //! `partial ∪ full ∪ ready`: a pair holds messages from its creation
 //! until its execution is finished (messages are physically handed to
 //! the worker at ready-promotion time, but logically they remain "on the
-//! input" until `finish_execution`, matching §3.1.2).
+//! input" until `finish_run`, matching §3.1.2).
 
 use crate::trace::{SetMembership, SetSnapshot, Trace, TraceEvent, TraceStep};
 use ec_events::Value;
@@ -51,13 +66,19 @@ use std::collections::VecDeque;
 /// 1-based schedule index (the paper's vertex number).
 pub(crate) type Idx = u32;
 
-/// A unit of work handed to a computation process: execute `idx` for
-/// `phase` with the given fresh inputs (sorted by producer index).
+/// Fresh inputs of one vertex-phase pair, sorted by producer index.
+pub(crate) type Inputs = Vec<(Idx, Value)>;
+
+/// A unit of work handed to a computation process: the phase run
+/// `phase, rest[0].0, rest[1].0, …` of vertex `idx`, ascending, each
+/// phase with its own fresh inputs. Single-phase claims (the common
+/// case for slow vertices) leave `rest` empty and allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Task {
     pub idx: Idx,
     pub phase: u64,
-    pub inputs: Vec<(Idx, Value)>,
+    pub inputs: Inputs,
+    pub rest: Vec<(u64, Inputs)>,
 }
 
 /// A set of schedule indices (`1..=N`), stored as a bitmap. All hot
@@ -226,8 +247,12 @@ pub(crate) struct SchedState {
     pool: Vec<PhaseState>,
     /// Phases in the full set, per vertex (index 0 unused): ascending.
     vertex_full: Vec<VecDeque<u64>>,
-    /// The unique ready phase per vertex, if any (index 0 unused).
-    ready_phase: Vec<Option<u64>>,
+    /// Per vertex, how many leading `vertex_full` phases its in-flight
+    /// run still holds (0 = none; index 0 unused). The first of them is
+    /// the vertex's unique ready phase.
+    claimed: Vec<usize>,
+    /// Vertices the engine marked slow: they claim one phase at a time.
+    slow: IdxSet,
     /// Scratch for promotion scans (single-threaded under the lock).
     movers: Vec<Idx>,
     /// Set when a computation process fails; drains the run.
@@ -252,7 +277,8 @@ impl SchedState {
             base: 1,
             pool: Vec::new(),
             vertex_full: vec![VecDeque::new(); n as usize + 1],
-            ready_phase: vec![None; n as usize + 1],
+            claimed: vec![0; n as usize + 1],
+            slow: IdxSet::for_n(n),
             movers: Vec::new(),
             failed: None,
             trace: None,
@@ -272,6 +298,26 @@ impl SchedState {
         self.pmax = base;
         self.next = base + 1;
         self.completed_through = base;
+    }
+
+    /// Marks `v` slow (its claims hold one phase, so a second worker
+    /// can pipeline its later phases) or fast (its claims hold runs).
+    /// Takes effect at `v`'s next claim.
+    pub fn mark_slow(&mut self, v: Idx, slow: bool) {
+        if slow {
+            self.slow.insert(v);
+        } else {
+            self.slow.remove(v);
+        }
+    }
+
+    /// The ready phase of `v`: the first phase of its claimed run.
+    fn ready_phase(&self, v: Idx) -> Option<u64> {
+        if self.claimed[v as usize] > 0 {
+            self.vertex_full[v as usize].front().copied()
+        } else {
+            None
+        }
     }
 
     /// Enables Figure-3-style tracing.
@@ -336,17 +382,27 @@ impl SchedState {
     /// for every source into the full set, promotes newly ready pairs
     /// into `out`, and advances `next`. Returns the phase number.
     pub fn start_phase(&mut self, out: &mut Transition) -> u64 {
-        self.start_phase_filtered(out, |_| true)
+        let p = self.open_phase(out, |_| true);
+        self.promote_sources(out);
+        self.trace_step(TraceEvent::PhaseStarted(p));
+        p
     }
 
-    /// Like [`start_phase`](Self::start_phase), but inserts only the
-    /// sources for which `active` returns true — silence-aware
-    /// admission. The caller asserts that every skipped source's
-    /// execution would be a guaranteed no-op this phase (poll `None`,
-    /// emit nothing, change no state); the streaming runtime knows this
-    /// for its live sources because *it* staged their bins. The paper's
-    /// "information in the absence of messages" applied one level up:
-    /// a provably silent execution need not be scheduled at all.
+    /// The first half of [`start_phase`](Self::start_phase): inserts
+    /// only the sources for which `active` returns true into the full
+    /// set, but promotes nothing. Batch admission opens every phase of
+    /// its batch first and then calls
+    /// [`promote_sources`](Self::promote_sources) once, so each active
+    /// source claims all of the batch's phases as one run. Until then
+    /// the invariants do not hold (full pairs without a ready one).
+    ///
+    /// Skipping a source is silence-aware admission. The caller asserts
+    /// that every skipped source's execution would be a guaranteed no-op
+    /// this phase (poll `None`, emit nothing, change no state); the
+    /// streaming runtime knows this for its live sources because *it*
+    /// staged their bins. The paper's "information in the absence of
+    /// messages" applied one level up: a provably silent execution need
+    /// not be scheduled at all.
     ///
     /// The frontier `x_p` is set to its definitional value over the
     /// inserted set, so invariants hold with gaps below `m(0)`; a phase
@@ -354,11 +410,7 @@ impl SchedState {
     /// have (immediately, if they already did — `out.phases_completed`
     /// reports it, and the caller must publish that progress exactly as
     /// workers do).
-    pub fn start_phase_filtered(
-        &mut self,
-        out: &mut Transition,
-        mut active: impl FnMut(Idx) -> bool,
-    ) -> u64 {
+    pub fn open_phase(&mut self, out: &mut Transition, mut active: impl FnMut(Idx) -> bool) -> u64 {
         let p = self.next;
         self.pmax = p;
         self.next += 1;
@@ -375,12 +427,10 @@ impl SchedState {
         self.ring.push_back(st);
         // Sources are always schedule indices 1..=m(0).
         for s in 1..=self.m[0] {
-            if !active(s) {
-                continue;
+            if active(s) {
+                self.ph_mut(p).full.insert(s);
+                vf_insert(&mut self.vertex_full[s as usize], p);
             }
-            self.ph_mut(p).full.insert(s);
-            vf_insert(&mut self.vertex_full[s as usize], p);
-            self.try_promote(s, &mut out.tasks);
         }
         // x_p by definition (§3.1.2) over the inserted set. With every
         // source inserted the minimum active index is 1 and this is the
@@ -398,42 +448,54 @@ impl SchedState {
         if ph.x == n {
             self.advance_completed(out);
         }
-        self.trace_step(TraceEvent::PhaseStarted(p));
         p
     }
 
-    /// Commits the execution of `(v, p)` with the given outputs — the
-    /// computation process's statements 1.5–1.30. Newly ready tasks and
-    /// the completed-phase count are appended to `out`.
+    /// Promotes every source with full phases and no run in flight
+    /// (statements 2.16–2.19 for the phases opened since the last call).
+    pub fn promote_sources(&mut self, out: &mut Transition) {
+        for s in 1..=self.m[0] {
+            self.try_promote(s, &mut out.tasks);
+        }
+    }
+
+    /// Commits a finished prefix of `v`'s claimed run — the computation
+    /// process's statements 1.5–1.30 for each of its phases, under one
+    /// lock hold. `outputs` yields `(phase, messages)` per executed
+    /// phase, in run order; messages are `(successor index, value)`.
+    /// Newly ready runs and the completed-phase count are appended to
+    /// `out`.
     ///
-    /// `outputs` are `(successor index, value)` messages for phase `p`.
-    pub fn finish_execution(
+    /// Publishing fewer phases than the run holds keeps the rest
+    /// claimed: `v`'s ready pair moves to the next unpublished phase,
+    /// and the caller owns executing the remainder.
+    pub fn finish_run(
         &mut self,
         v: Idx,
-        p: u64,
-        outputs: Vec<(Idx, Value)>,
+        outputs: impl IntoIterator<Item = (u64, Vec<(Idx, Value)>)>,
         out: &mut Transition,
     ) {
-        let emitted = outputs.len();
-
-        // Statements 1.5–1.7: remove (v, p) from the full and ready sets.
-        {
-            let ph = self.ph_mut(p);
-            let was_full = ph.full.remove(v);
+        let vi = v as usize;
+        let mut span: Option<(u64, u64)> = None;
+        let mut emitted: Vec<(u64, usize)> = Vec::new();
+        for (p, messages) in outputs {
+            // Statements 1.5–1.7: remove (v, p) from the full and ready
+            // sets; the ready pair moves to the run's next phase.
+            debug_assert!(
+                self.claimed[vi] > 0 && self.vertex_full[vi].front() == Some(&p),
+                "({v}, {p}) finished but was not the ready pair of {v}"
+            );
+            let was_full = self.ph_mut(p).full.remove(v);
             debug_assert!(was_full, "({v}, {p}) finished but was not in full");
-        }
-        debug_assert_eq!(
-            self.ready_phase[v as usize],
-            Some(p),
-            "({v}, {p}) finished but was not the ready pair of {v}"
-        );
-        self.ready_phase[v as usize] = None;
-        vf_remove(&mut self.vertex_full[v as usize], p);
+            vf_remove(&mut self.vertex_full[vi], p);
+            self.claimed[vi] -= 1;
+            if self.trace.is_some() {
+                emitted.push((p, messages.len()));
+            }
 
-        // Statements 1.8–1.11: deliver outputs into the partial set.
-        {
+            // Statements 1.8–1.11: deliver outputs into the partial set.
             let ph = self.ph_mut(p);
-            for (w, val) in outputs {
+            for (w, val) in messages {
                 debug_assert!(w > v, "messages flow to higher indices only");
                 debug_assert!(
                     !ph.full.contains(w),
@@ -443,16 +505,20 @@ impl SchedState {
                 ph.inbox[w as usize - 1].push((v, val));
                 ph.partial.insert(w);
             }
+            span = Some((span.map_or(p, |(first, _)| first), p));
         }
+        let Some((first, last)) = span else {
+            return;
+        };
 
-        // Statements 1.12–1.23: update x_p, x_{p+1}, … . The paper scans
-        // to pmax; since phase i's recomputed value depends only on its
-        // own (unchanged, for i > p) sets and the clamp against x_{i−1},
-        // the scan can stop at the first phase whose x does not change.
-        // The changed phases are therefore the contiguous range
-        // `p..last_changed`.
-        let mut last_changed = p; // exclusive
-        let mut i = p;
+        // Statements 1.12–1.23, once for the whole run: update x_p for
+        // p ≥ p_1. Every published phase changed its own sets, so each
+        // is recomputed. Beyond the run, phase i's recomputed value
+        // depends only on its own (unchanged) sets and the clamp against
+        // x_{i−1}, so the scan stops at the first phase there whose x
+        // does not change.
+        let mut hi = last;
+        let mut i = first;
         while i <= self.pmax {
             let bound = self.x_of(i - 1);
             let n = self.n;
@@ -461,53 +527,57 @@ impl SchedState {
                 None => n.min(bound),
                 Some(mn) => (mn - 1).min(bound),
             };
-            if new_x == ph.x {
+            if new_x != ph.x {
+                debug_assert!(new_x > ph.x, "x_p never decreases (serializability)");
+                ph.x = new_x;
+                hi = hi.max(i);
+            } else if i > last {
                 break;
             }
-            debug_assert!(new_x > ph.x, "x_p never decreases (serializability)");
-            ph.x = new_x;
             i += 1;
-            last_changed = i;
         }
 
-        // Statements 1.24–1.26: promote newly full pairs. Phase p must
-        // always be rechecked (new partial pairs may already satisfy
-        // w ≤ m(x_p)); phases with changed x may promote as well.
-        for q in p..last_changed.max(p + 1) {
-            if q <= self.completed_through || q > self.pmax {
-                continue;
-            }
-            let mx = self.m[self.x_of(q) as usize];
-            let mut movers = std::mem::take(&mut self.movers);
-            movers.clear();
+        // Statements 1.24–1.26: move newly full pairs of every touched
+        // phase (published phases may hold new partial pairs that
+        // already satisfy w ≤ m(x_p); phases with changed x may promote
+        // as well). All moves land before any claim, so a successor
+        // that became full in several phases claims them as one run.
+        let mut movers = std::mem::take(&mut self.movers);
+        movers.clear();
+        for q in first..=hi {
+            let mx = self.m[self.ph(q).x as usize];
+            let from = movers.len();
             self.ph_mut(q).partial.take_up_to(mx, &mut movers);
-            for &w in &movers {
+            for &w in &movers[from..] {
                 self.ph_mut(q).full.insert(w);
                 vf_insert(&mut self.vertex_full[w as usize], q);
-                self.try_promote(w, &mut out.tasks);
             }
-            self.movers = movers;
         }
-
-        // Statements 1.27–1.30 for the executed vertex: its next full
-        // phase (if any) may now be ready.
+        // Statements 1.27–1.30: claim runs for the movers, then for the
+        // executed vertex (its next full phases, once its run is done).
+        for &w in &movers {
+            self.try_promote(w, &mut out.tasks);
+        }
+        self.movers = movers;
         self.try_promote(v, &mut out.tasks);
 
         // Advance the completed frontier and recycle finished phases.
         self.advance_completed(out);
 
-        self.trace_step(TraceEvent::Executed {
-            vertex: v,
-            phase: p,
-            emitted,
-        });
+        for (phase, emitted) in emitted {
+            self.trace_step(TraceEvent::Executed {
+                vertex: v,
+                phase,
+                emitted,
+            });
+        }
     }
 
     /// Pops every leading phase whose frontier has reached `N` off the
     /// active ring, recycling its state and counting it in
     /// `out.phases_completed` — the commit half shared by
-    /// [`finish_execution`](Self::finish_execution) and the zero-active
-    /// path of [`start_phase_filtered`](Self::start_phase_filtered).
+    /// [`finish_run`](Self::finish_run) and the zero-active path of
+    /// [`open_phase`](Self::open_phase).
     fn advance_completed(&mut self, out: &mut Transition) {
         while let Some(front) = self.ring.front() {
             if front.x == self.n {
@@ -538,28 +608,48 @@ impl SchedState {
         }
     }
 
-    /// If `w`'s minimal full phase is not yet ready, makes it ready and
-    /// emits its task (statements 1.27–1.30 / 2.16–2.19). The messages
-    /// accumulated for the pair are attached to the task here: once a
-    /// pair is full, all of its messages have arrived (its predecessors
-    /// have all finished the phase), so this hand-off is race-free.
+    /// If `w` has full phases and no run in flight, claims them as one
+    /// run and emits its task (statements 1.27–1.30 / 2.16–2.19): all
+    /// of them, or just the minimal one if `w` is marked slow. The
+    /// messages accumulated for each claimed pair are attached to the
+    /// task here: once a pair is full, all of its messages have arrived
+    /// (its predecessors have all finished the phase), so this hand-off
+    /// is race-free.
     fn try_promote(&mut self, w: Idx, tasks: &mut Vec<Task>) {
-        if self.ready_phase[w as usize].is_some() {
+        let wi = w as usize;
+        if self.claimed[wi] > 0 {
             return;
         }
-        let q = match self.vertex_full[w as usize].front() {
-            Some(&q) => q,
-            None => return,
+        let Some(&phase) = self.vertex_full[wi].front() else {
+            return;
         };
-        self.ready_phase[w as usize] = Some(q);
-        let ph = self.ph_mut(q);
-        let mut inputs = std::mem::take(&mut ph.inbox[w as usize - 1]);
-        inputs.sort_by_key(|(prod, _)| *prod);
+        let len = if self.slow.contains(w) {
+            1
+        } else {
+            self.vertex_full[wi].len()
+        };
+        self.claimed[wi] = len;
+        let inputs = self.take_inputs(w, phase);
+        let rest = (1..len)
+            .map(|i| {
+                let p = self.vertex_full[wi][i];
+                (p, self.take_inputs(w, p))
+            })
+            .collect();
         tasks.push(Task {
             idx: w,
-            phase: q,
+            phase,
             inputs,
+            rest,
         });
+    }
+
+    /// Hands `(w, p)`'s waiting messages to its task, sorted by
+    /// producer.
+    fn take_inputs(&mut self, w: Idx, p: u64) -> Inputs {
+        let mut inputs = std::mem::take(&mut self.ph_mut(p).inbox[w as usize - 1]);
+        inputs.sort_by_key(|(prod, _)| *prod);
+        inputs
     }
 
     /// Snapshot of current set memberships (Figure 3 coordinates).
@@ -572,7 +662,7 @@ impl SchedState {
                 entries.push((w, q, SetMembership::Partial));
             }
             for w in ph.full.iter() {
-                let m = if self.ready_phase[w as usize] == Some(q) {
+                let m = if self.ready_phase(w) == Some(q) {
                     SetMembership::FullAndReady
                 } else {
                     SetMembership::FullOnly
@@ -651,22 +741,21 @@ impl SchedState {
                 }
             }
             // Definition (8): the ready pair is the minimal full phase.
-            match (self.ready_phase[w], phases.front()) {
-                (Some(rp), Some(&mn)) if rp != mn => {
-                    return Err(format!(
-                        "vertex {w}: ready phase {rp} is not the minimal full phase {mn}"
-                    ));
-                }
-                (Some(rp), None) => {
-                    return Err(format!("vertex {w}: ready phase {rp} but no full pairs"));
-                }
-                (None, Some(&mn)) => {
-                    return Err(format!(
-                        "vertex {w}: full pair at phase {mn} but nothing ready \
-                         (every vertex with full pairs must have its minimum ready)"
-                    ));
-                }
-                _ => {}
+            // A run claims a prefix of the ascending full phases, so its
+            // first phase is that minimum; the claim must fit the full
+            // set, and a vertex with full pairs must have one ready.
+            if self.claimed[w] > phases.len() {
+                return Err(format!(
+                    "vertex {w}: run claims {} phases but only {} are full",
+                    self.claimed[w],
+                    phases.len()
+                ));
+            }
+            if let (None, Some(&mn)) = (self.ready_phase(w as Idx), phases.front()) {
+                return Err(format!(
+                    "vertex {w}: full pair at phase {mn} but nothing ready \
+                     (every vertex with full pairs must have its minimum ready)"
+                ));
             }
         }
         // Monotonicity of x across phases (serializability guard).
@@ -729,15 +818,24 @@ mod tests {
         (p, out)
     }
 
-    /// Finishes an execution, returning the transition.
+    /// Finishes a single-phase execution, returning the transition.
     fn finish(st: &mut SchedState, v: Idx, p: u64, outputs: Vec<(Idx, Value)>) -> Transition {
         let mut out = Transition::default();
-        st.finish_execution(v, p, outputs, &mut out);
+        st.finish_run(v, [(p, outputs)], &mut out);
         out
     }
 
-    /// Executes every returned task immediately with the given output
-    /// function, breadth-first, checking invariants after each commit.
+    /// The phases of a task's run, ascending.
+    fn phases_of(task: &Task) -> Vec<u64> {
+        std::iter::once(task.phase)
+            .chain(task.rest.iter().map(|(p, _)| *p))
+            .collect()
+    }
+
+    /// Executes every returned run immediately with the given output
+    /// function (one call per phase), publishing each run whole and
+    /// checking invariants after each commit. Returns the executed
+    /// pairs in execution order.
     fn drain(
         st: &mut SchedState,
         mut pending: Vec<Task>,
@@ -745,9 +843,15 @@ mod tests {
     ) -> Vec<(Idx, u64)> {
         let mut executed = Vec::new();
         while let Some(task) = pending.pop() {
-            executed.push((task.idx, task.phase));
-            let outs = outputs(task.idx, task.phase);
-            let tr = finish(st, task.idx, task.phase, outs);
+            let run: Vec<(u64, Vec<(Idx, Value)>)> = phases_of(&task)
+                .into_iter()
+                .map(|p| {
+                    executed.push((task.idx, p));
+                    (p, outputs(task.idx, p))
+                })
+                .collect();
+            let mut tr = Transition::default();
+            st.finish_run(task.idx, run, &mut tr);
             st.check_invariants().unwrap();
             pending.extend(tr.tasks);
         }
@@ -769,7 +873,8 @@ mod tests {
             Task {
                 idx: 1,
                 phase: 1,
-                inputs: vec![]
+                inputs: vec![],
+                rest: vec![]
             }
         );
         st.check_invariants().unwrap();
@@ -958,50 +1063,88 @@ mod tests {
         assert_eq!(st.inflight(), 0);
     }
 
-    #[test]
-    fn exactly_once_execution() {
-        // Under a random execution order, every pair is executed at most
-        // once and everything that should execute does.
+    /// Drives a layered graph where every vertex broadcasts, taking
+    /// ready runs in a random order. With `split`, each run is published
+    /// as a random prefix and its remainder is queued again, the way a
+    /// worker that passes its time budget pushes the rest back. Checks
+    /// that every pair executes exactly once, with exactly its own
+    /// inputs, and re-derives the invariants after every publish.
+    fn exactly_once(seed: u64, phases: u64, split: bool) {
         use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let dag = generators::layered(4, 3, 2, 3);
         let numbering = Numbering::compute(&dag);
         let n = numbering.len() as Idx;
         let mut st = SchedState::new(numbering.m_table());
         let mut pending: Vec<Task> = Vec::new();
-        let phases = 4u64;
         for _ in 0..phases {
             let (_, tr) = start(&mut st);
             pending.extend(tr.tasks);
         }
         let mut seen = std::collections::HashSet::new();
         // Everything broadcasts, so all pairs execute.
-        let succs_of = |v: Idx| -> Vec<Idx> {
-            let vid = numbering.vertex_at(v);
-            dag.succs(vid)
-                .iter()
-                .map(|&s| numbering.index_of(s))
-                .collect()
+        let idx_of = |vs: &[ec_graph::VertexId]| -> Vec<Idx> {
+            let mut out: Vec<Idx> = vs.iter().map(|&s| numbering.index_of(s)).collect();
+            out.sort_unstable();
+            out
         };
         while !pending.is_empty() {
             pending.shuffle(&mut rng);
-            let task = pending.pop().unwrap();
-            assert!(
-                seen.insert((task.idx, task.phase)),
-                "pair executed twice: {:?}",
-                (task.idx, task.phase)
-            );
-            let outs: Vec<(Idx, Value)> = succs_of(task.idx)
-                .into_iter()
-                .map(|s| (s, Value::Int(1)))
-                .collect();
-            let tr = finish(&mut st, task.idx, task.phase, outs);
+            let mut task = pending.pop().unwrap();
+            let len = 1 + task.rest.len();
+            let take = if split { rng.gen_range(1..=len) } else { len };
+            let mut run = std::iter::once((task.phase, std::mem::take(&mut task.inputs)))
+                .chain(task.rest.drain(..))
+                .collect::<Vec<_>>();
+            let remainder = run.split_off(take);
+            let mut published = Vec::new();
+            for (p, inputs) in run {
+                assert!(
+                    seen.insert((task.idx, p)),
+                    "pair executed twice: {:?}",
+                    (task.idx, p)
+                );
+                let preds = idx_of(dag.preds(numbering.vertex_at(task.idx)));
+                let producers: Vec<Idx> = inputs.iter().map(|(i, _)| *i).collect();
+                assert_eq!(producers, preds, "inputs of ({}, {p})", task.idx);
+                let outs = idx_of(dag.succs(numbering.vertex_at(task.idx)))
+                    .into_iter()
+                    .map(|s| (s, Value::Int(1)))
+                    .collect();
+                published.push((p, outs));
+            }
+            let mut tr = Transition::default();
+            st.finish_run(task.idx, published, &mut tr);
             st.check_invariants().unwrap();
             pending.extend(tr.tasks);
+            let mut remainder = remainder.into_iter();
+            if let Some((phase, inputs)) = remainder.next() {
+                assert_eq!(st.ready_phase(task.idx), Some(phase));
+                pending.push(Task {
+                    idx: task.idx,
+                    phase,
+                    inputs,
+                    rest: remainder.collect(),
+                });
+            }
         }
         assert_eq!(seen.len(), (n as u64 * phases) as usize);
         assert_eq!(st.completed_through(), phases);
+    }
+
+    #[test]
+    fn exactly_once_execution() {
+        // Under a random execution order, every pair is executed at most
+        // once and everything that should execute does.
+        exactly_once(7, 4, false);
+    }
+
+    #[test]
+    fn exactly_once_execution_with_split_runs() {
+        for seed in 0..16 {
+            exactly_once(seed, 12, true);
+        }
     }
 
     #[test]
@@ -1055,6 +1198,136 @@ mod tests {
             assert_eq!(executed.len(), 4);
             assert_eq!(st.completed_through(), round + 1);
         }
+    }
+
+    /// `(phase, messages)` pairs publishing `phases` with no output.
+    fn silent(phases: &[u64]) -> Vec<(u64, Vec<(Idx, Value)>)> {
+        phases.iter().map(|&p| (p, vec![])).collect()
+    }
+
+    /// Opens `k` phases and then promotes the sources once, the way
+    /// batch admission does.
+    fn open_batch(st: &mut SchedState, k: u64) -> Transition {
+        let mut tr = Transition::default();
+        for _ in 0..k {
+            st.open_phase(&mut tr, |_| true);
+        }
+        st.promote_sources(&mut tr);
+        st.check_invariants().unwrap();
+        tr
+    }
+
+    #[test]
+    fn run_claim_holds_every_full_phase_with_its_own_inputs() {
+        // diamond: 1 -> {2, 3} -> 4. One promotion after five opened
+        // phases: the source claims all five as one run.
+        let dag = generators::diamond();
+        let mut st = state_for(&dag);
+        let tr = open_batch(&mut st, 5);
+        assert_eq!(tr.tasks.len(), 1);
+        assert_eq!(phases_of(&tr.tasks[0]), vec![1, 2, 3, 4, 5]);
+        assert_eq!(st.snapshot().ready(), vec![(1, 1)], "ready = minimal full");
+
+        // Publishing the source's run makes both branches full in every
+        // phase at once: each claims all five, each phase carrying its
+        // own message.
+        let outs = (1..=5)
+            .map(|p| {
+                let v = p as i64;
+                (p, vec![(2, Value::Int(v)), (3, Value::Int(10 * v))])
+            })
+            .collect::<Vec<_>>();
+        let mut tr = Transition::default();
+        st.finish_run(1, outs, &mut tr);
+        st.check_invariants().unwrap();
+        let mut branches = tr.tasks;
+        branches.sort_by_key(|t| t.idx);
+        for (t, scale) in branches.iter().zip([1, 10]) {
+            assert_eq!(phases_of(t), vec![1, 2, 3, 4, 5]);
+            let inputs = std::iter::once(&t.inputs).chain(t.rest.iter().map(|(_, i)| i));
+            for (p, inputs) in (1..=5i64).zip(inputs) {
+                assert_eq!(inputs, &vec![(1, Value::Int(scale * p))]);
+            }
+        }
+
+        // Branch 3 publishes before branch 2, so the join's inboxes fill
+        // out of producer order; its claim sorts each phase's inputs.
+        let to_join = |base: i64| -> Vec<(u64, Vec<(Idx, Value)>)> {
+            (1..=5)
+                .map(|p| (p, vec![(4, Value::Int(base + p as i64))]))
+                .collect()
+        };
+        let tr = {
+            let mut tr = Transition::default();
+            st.finish_run(3, to_join(300), &mut tr);
+            assert!(tr.tasks.is_empty(), "join is only partial");
+            tr.reset();
+            st.finish_run(2, to_join(200), &mut tr);
+            st.check_invariants().unwrap();
+            tr
+        };
+        assert_eq!(tr.tasks.len(), 1);
+        let join = &tr.tasks[0];
+        assert_eq!((join.idx, phases_of(join)), (4, vec![1, 2, 3, 4, 5]));
+        let inputs = std::iter::once(&join.inputs).chain(join.rest.iter().map(|(_, i)| i));
+        for (p, inputs) in (1..=5i64).zip(inputs) {
+            assert_eq!(
+                inputs,
+                &vec![(2, Value::Int(200 + p)), (3, Value::Int(300 + p))]
+            );
+        }
+    }
+
+    #[test]
+    fn slow_vertex_claims_one_phase() {
+        let dag = generators::chain(2);
+        // A vertex marked slow claims one phase per promotion; the flag
+        // takes effect at its next claim.
+        let mut st = state_for(&dag);
+        st.mark_slow(1, true);
+        let tr = open_batch(&mut st, 4);
+        assert_eq!(phases_of(&tr.tasks[0]), vec![1]);
+        let mut tr = Transition::default();
+        st.finish_run(1, silent(&[1]), &mut tr);
+        assert_eq!(phases_of(&tr.tasks[0]), vec![2]);
+        st.mark_slow(1, false);
+        tr.reset();
+        st.finish_run(1, silent(&[2]), &mut tr);
+        st.check_invariants().unwrap();
+        assert_eq!(phases_of(&tr.tasks[0]), vec![3, 4]);
+    }
+
+    #[test]
+    fn phase_admitted_mid_run_is_not_absorbed() {
+        let dag = generators::chain(2);
+        let mut st = state_for(&dag);
+        let tr = open_batch(&mut st, 2);
+        assert_eq!(phases_of(&tr.tasks[0]), vec![1, 2]);
+
+        // Phase 3 arrives while the source's run [1, 2] is in flight:
+        // it is full, but not ready and not part of the run.
+        let (_, tr) = start(&mut st);
+        assert!(tr.tasks.is_empty());
+        assert_eq!(
+            st.snapshot().membership(1, 3),
+            Some(SetMembership::FullOnly)
+        );
+
+        // Publishing a prefix moves the ready pair to the run's next
+        // phase and claims nothing new for the source.
+        let mut tr = Transition::default();
+        st.finish_run(1, silent(&[1]), &mut tr);
+        st.check_invariants().unwrap();
+        assert!(tr.tasks.is_empty());
+        assert_eq!(st.ready_phase(1), Some(2));
+        assert_eq!(st.snapshot().ready(), vec![(1, 2)]);
+
+        // Once the run's last phase is published, phase 3 is the next
+        // claim.
+        st.finish_run(1, silent(&[2]), &mut tr);
+        st.check_invariants().unwrap();
+        assert_eq!(tr.tasks.len(), 1);
+        assert_eq!((tr.tasks[0].idx, phases_of(&tr.tasks[0])), (1, vec![3]));
     }
 
     #[test]

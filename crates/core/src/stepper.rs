@@ -1,8 +1,11 @@
 //! Deterministic single-stepping executor.
 //!
 //! [`Stepper`] drives the same scheduler state as the parallel engine
-//! but executes one vertex-phase pair at a time, chosen by the caller.
-//! It exists for three purposes:
+//! but executes one claimed phase run at a time, chosen by the caller.
+//! A run is what an engine worker dequeues: a vertex with every phase
+//! in which it was full when promoted (see the `state` module docs),
+//! identified by the vertex and its first — ready — phase. The stepper
+//! never splits a run. It exists for three purposes:
 //!
 //! * reproducing the paper's **Figure 3** exactly — the figure shows a
 //!   specific interleaving of phase starts and executions, with the
@@ -13,25 +16,29 @@
 //!
 //! The stepper maintains the identical data structures as the engine,
 //! so what it shows is what the parallel run does — just one transition
-//! at a time.
+//! at a time. Figure 3's interleaving is unaffected by runs: a claim
+//! holds only phases that are already full, and in the figure every
+//! promotion finds exactly one.
 
 use crate::error::EngineError;
 use crate::history::ExecutionHistory;
 use crate::module::Module;
-use crate::state::{Idx, SchedState, Task};
+use crate::state::{Idx, SchedState, Task, Transition};
 use crate::trace::{SetSnapshot, Trace};
 use crate::vertex::{route_emission, VertexSlot};
 use ec_events::{Phase, Value};
 use ec_graph::{Dag, Numbering, VertexId};
 
-/// One executed step.
+/// One executed step: a phase run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepOutcome {
     /// 1-based schedule index of the executed vertex.
     pub vertex_index: u32,
-    /// Phase executed.
+    /// First phase of the run.
     pub phase: u64,
-    /// Number of messages emitted.
+    /// Number of phases the run executed.
+    pub phases: usize,
+    /// Number of messages emitted, over all of the run's phases.
     pub emitted: usize,
 }
 
@@ -84,21 +91,21 @@ impl Stepper {
     /// Starts the next phase (the environment process's step) and
     /// returns its number.
     pub fn start_phase(&mut self) -> u64 {
-        let mut tr = crate::state::Transition::default();
+        let mut tr = Transition::default();
         let p = self.state.start_phase(&mut tr);
         self.pending.extend(tr.tasks);
         debug_assert!(self.state.check_invariants().is_ok());
         p
     }
 
-    /// Ready-but-unexecuted pairs, as `(index, phase)`, in the order
-    /// they became ready.
+    /// Ready-but-unexecuted runs, as `(index, first phase)` — each
+    /// run's ready pair — in the order they became ready.
     pub fn ready_pairs(&self) -> Vec<(u32, u64)> {
         self.pending.iter().map(|t| (t.idx, t.phase)).collect()
     }
 
-    /// Executes the oldest ready pair (FIFO — what a single engine
-    /// worker would do). Returns `None` when nothing is ready.
+    /// Executes the oldest ready run (FIFO). Returns `None` when nothing
+    /// is ready.
     pub fn step(&mut self) -> Result<Option<StepOutcome>, EngineError> {
         if self.pending.is_empty() {
             return Ok(None);
@@ -107,8 +114,8 @@ impl Stepper {
         self.execute(task).map(Some)
     }
 
-    /// Executes a specific ready pair (for reproducing a chosen
-    /// interleaving, e.g. Figure 3's).
+    /// Executes the run whose ready pair is `(index, phase)` (for
+    /// reproducing a chosen interleaving, e.g. Figure 3's).
     ///
     /// Returns an error if the pair is not currently ready.
     pub fn step_pair(&mut self, index: u32, phase: u64) -> Result<StepOutcome, EngineError> {
@@ -122,29 +129,39 @@ impl Stepper {
     }
 
     fn execute(&mut self, task: Task) -> Result<StepOutcome, EngineError> {
-        let Task { idx, phase, inputs } = task;
+        let Task {
+            idx,
+            phase,
+            inputs,
+            rest,
+        } = task;
         let pos = (idx - 1) as usize;
-        let fresh: Vec<(VertexId, Value)> = inputs
-            .iter()
-            .map(|(i, v)| (self.numbering.vertex_at(*i), v.clone()))
-            .collect();
-        let emission = self.slots[pos].execute(Phase(phase), &fresh);
-        let routed = route_emission(
-            emission,
-            self.slots[pos].is_sink,
-            self.slots[pos].vertex_id,
-            &self.succs_idx[pos],
-            &self.numbering,
-        )?;
         let vertex = self.slots[pos].vertex_id;
-        self.history.record(vertex, Phase(phase), routed.recorded);
-        if let Some(v) = routed.sink_value {
-            self.history.record_sink(vertex, Phase(phase), v);
+        let mut outputs = Vec::with_capacity(1 + rest.len());
+        let mut emitted = 0;
+        for (p, inputs) in std::iter::once((phase, inputs)).chain(rest) {
+            let fresh: Vec<(VertexId, Value)> = inputs
+                .into_iter()
+                .map(|(i, v)| (self.numbering.vertex_at(i), v))
+                .collect();
+            let emission = self.slots[pos].execute(Phase(p), &fresh);
+            let routed = route_emission(
+                emission,
+                self.slots[pos].is_sink,
+                vertex,
+                &self.succs_idx[pos],
+                &self.numbering,
+            )?;
+            self.history.record(vertex, Phase(p), routed.recorded);
+            if let Some(v) = routed.sink_value {
+                self.history.record_sink(vertex, Phase(p), v);
+            }
+            emitted += routed.messages.len();
+            outputs.push((p, routed.messages));
         }
-        let emitted = routed.messages.len();
-        let mut tr = crate::state::Transition::default();
-        self.state
-            .finish_execution(idx, phase, routed.messages, &mut tr);
+        let phases = outputs.len();
+        let mut tr = Transition::default();
+        self.state.finish_run(idx, outputs, &mut tr);
         self.pending.extend(tr.tasks);
         self.state
             .check_invariants()
@@ -152,11 +169,13 @@ impl Stepper {
         Ok(StepOutcome {
             vertex_index: idx,
             phase,
+            phases,
             emitted,
         })
     }
 
-    /// Runs steps (FIFO) until nothing is ready.
+    /// Runs steps (FIFO) until nothing is ready; returns how many runs
+    /// executed.
     pub fn drain(&mut self) -> Result<usize, EngineError> {
         let mut steps = 0;
         while self.step()?.is_some() {
@@ -212,7 +231,7 @@ mod tests {
         assert_eq!(s.start_phase(), 1);
         assert_eq!(s.ready_pairs(), vec![(1, 1)]);
         let o = s.step().unwrap().unwrap();
-        assert_eq!((o.vertex_index, o.phase, o.emitted), (1, 1, 1));
+        assert_eq!((o.vertex_index, o.phase, o.phases, o.emitted), (1, 1, 1, 1));
         assert_eq!(s.drain().unwrap(), 2);
         assert_eq!(s.completed_through(), 1);
         assert!(s.step().unwrap().is_none());

@@ -56,8 +56,19 @@ impl LogHistogram {
     /// relaxed atomic RMWs.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket(value)].fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same `value` at the cost of one: the
+    /// engine uses it for a run of `n` phases timed as a whole, where
+    /// each phase is credited the run's mean.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket(value)].fetch_add(n, Relaxed);
+        self.sum.fetch_add(value.wrapping_mul(n), Relaxed);
         self.max.fetch_max(value, Relaxed);
     }
 
@@ -92,6 +103,12 @@ impl HistogramBank {
     #[inline]
     pub fn record(&self, lane: usize, value: u64) {
         self.lanes[lane % self.lanes.len()].record(value);
+    }
+
+    /// [`LogHistogram::record_n`] into `lane`.
+    #[inline]
+    pub fn record_n(&self, lane: usize, value: u64, n: u64) {
+        self.lanes[lane % self.lanes.len()].record_n(value, n);
     }
 
     /// Merges every lane into one snapshot.
@@ -260,6 +277,19 @@ mod tests {
         assert_eq!(s.count(), 3);
         assert_eq!(s.sum, 60);
         assert_eq!(s.max, 30);
+    }
+
+    #[test]
+    fn record_n_counts_every_sample() {
+        let bank = HistogramBank::new(2);
+        bank.record_n(1, 100, 8);
+        bank.record_n(1, 7, 0); // no samples, no trace
+        bank.record(0, 3);
+        let s = bank.snapshot();
+        assert_eq!(s.count(), 9);
+        assert_eq!(s.sum, 803);
+        assert_eq!(s.max, 100);
+        assert_eq!(s.p50(), 100);
     }
 
     #[test]

@@ -173,6 +173,63 @@ fn anomaly_chain_with_heavy_compute() {
     assert_eq!(seq.into_history().equivalent(&par), Ok(()));
 }
 
+/// [`modules_for`] with the first interior vertex spinning well past the
+/// engine's run budget (`RUN_BUDGET`), so it claims one phase per task
+/// while its cheap neighbours execute whole phase runs.
+fn weighted_modules_for(dag: &Dag, mix_seed: u64) -> Vec<Box<dyn Module>> {
+    let heavy = dag.vertices().find(|&v| !dag.is_source(v));
+    modules_for(dag, mix_seed)
+        .into_iter()
+        .zip(dag.vertices())
+        .map(|(m, v)| -> Box<dyn Module> {
+            if Some(v) == heavy {
+                Box::new(Workload::new(m, 4_000))
+            } else {
+                m
+            }
+        })
+        .collect()
+}
+
+/// Drives a live engine, admitting `phases` phases `batch` at a time:
+/// each batch's sources claim it as one phase run.
+fn run_live(dag: &Dag, mix_seed: u64, phases: u64, batch: u64, threads: usize) -> ExecutionHistory {
+    let live = Engine::builder(dag.clone(), weighted_modules_for(dag, mix_seed))
+        .threads(threads)
+        .check_invariants(true)
+        .build()
+        .unwrap()
+        .into_live();
+    let mut admitted = 0;
+    while admitted < phases {
+        admitted += live.admit_batch(batch.min(phases - admitted)).unwrap();
+    }
+    live.shutdown().unwrap().history.unwrap()
+}
+
+#[test]
+fn live_batch_admission_matches_sequential() {
+    let graphs = [
+        ("chain", generators::chain(6)),
+        ("diamond", generators::diamond()),
+        ("layered", generators::layered(4, 3, 2, 5)),
+    ];
+    let phases = 70;
+    for (name, dag) in &graphs {
+        let mut seq = Sequential::new(dag, weighted_modules_for(dag, 9)).unwrap();
+        seq.run(phases).unwrap();
+        let seq = seq.into_history();
+        for batch in [1, 3, 8, 64] {
+            for threads in [1, 2, 4] {
+                let live = run_live(dag, 9, phases, batch, threads);
+                if let Err(d) = seq.equivalent(&live) {
+                    panic!("{name}, batches of {batch}, {threads} threads: {d}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn multiple_runs_compose() {
     // Running 3 × 10 phases must equal one 30-phase sequential run.
